@@ -18,18 +18,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 
 import numpy as np
 
 from . import extremes, maxcorr, mo, verify
-from .errors import (
-    DivergentMomentError,
-    EvaluationError,
-    NonConvergenceError,
-    ValidationError,
-)
+from .errors import DivergentMomentError, EvaluationError, ValidationError
 from .numerics import QuadratureSpec
 from .rng import DEFAULT_SEED, RngStream
 from .serialize import canonical_json, format_float, write_csv
@@ -38,7 +32,6 @@ from .serialize import canonical_json, format_float, write_csv
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
     seed: int
-    threads: int
     out: str | None
     format: str
 
@@ -180,21 +173,6 @@ def _emit_csv(header: list[str], rows, config: RunConfig) -> None:
         write_csv(config.out, header, rows)
 
 
-def _limit_threads(threads: int) -> None:
-    if threads <= 0:
-        return
-    # Best effort: BLAS pools read these at load time, threadpoolctl
-    # can adjust the ones already loaded.
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = str(threads)
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(threads)
-    except ImportError:
-        pass
-
-
 def cmd_sample(args: argparse.Namespace, config: RunConfig) -> int:
     params, _ = _family_params(args)
     if args.n <= 0:
@@ -281,8 +259,7 @@ def cmd_maxcorr(args: argparse.Namespace, config: RunConfig) -> int:
         ])
         sample = mo.PairSample(pairs=pairs, family="copula",
                                params=sample.params, seed=sample.seed)
-    est = maxcorr.estimate_max_corr(sample, m=args.m, tol=args.tol,
-                                    max_iter=args.max_iter)
+    est = maxcorr.estimate_max_corr(sample, m=args.m)
     _emit(est.to_report(closed_form=_closed_form(args.family, params)), config)
     return 0
 
@@ -364,8 +341,6 @@ def build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help="root RNG seed (default %(default)s)")
-    common.add_argument("--threads", type=int, default=0,
-                        help="cap BLAS threads, 0 leaves the library default")
     common.add_argument("--out", type=str, default=None,
                         help="output path (default stdout)")
     common.add_argument("--format", choices=("json", "csv"), default="json",
@@ -403,8 +378,6 @@ def build_parser() -> _Parser:
     _add_family_arguments(p)
     p.add_argument("-n", "--n", type=int, default=1_000_000, help="sample size")
     p.add_argument("--m", type=int, default=64, help="bins per axis")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=10_000)
     p.set_defaults(func=cmd_maxcorr)
 
     p = sub.add_parser("variance", parents=[common],
@@ -456,14 +429,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        config = RunConfig(seed=args.seed, threads=args.threads,
-                           out=args.out, format=args.format)
-        _limit_threads(config.threads)
+        config = RunConfig(seed=args.seed, out=args.out, format=args.format)
         return args.func(args, config)
     except (ValidationError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except (NonConvergenceError, DivergentMomentError, EvaluationError) as exc:
+    except (DivergentMomentError, EvaluationError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 2
 

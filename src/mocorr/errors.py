@@ -16,21 +16,8 @@ class ValidationError(MocorrError, ValueError):
 
 
 class EvaluationError(MocorrError):
-    """A numerical evaluation produced a non-finite value."""
-
-
-class NonConvergenceError(MocorrError):
-    """An iterative solver ran out of iterations.
-
-    Carries the last iterate and the residual it achieved so callers can
-    inspect how close the run got.
-    """
-
-    def __init__(self, message, iterate=None, residual=None, iterations=None):
-        super().__init__(message)
-        self.iterate = iterate
-        self.residual = residual
-        self.iterations = iterations
+    """A numerical evaluation produced a non-finite value or broke an
+    invariant the result relies on."""
 
 
 class DivergentMomentError(MocorrError):

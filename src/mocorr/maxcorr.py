@@ -15,11 +15,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import ValidationError
 from .mo import CopulaParams, DXiParam, MOParams, PairSample
-from .numerics import bin_pairs, second_singular_value_detail
+from .numerics import bin_pairs, second_singular_value
 from .rng import RngStream, draw_standard_normals
 
 
@@ -158,14 +157,13 @@ def d_xi_max_corr(d: DXiParam) -> float:
 # Estimator
 
 
-def estimate_max_corr(sample: PairSample, m: int = 64, tol: float = 1e-10,
-                      max_iter: int = 10000) -> MaxCorrEstimate:
+def estimate_max_corr(sample: PairSample, m: int = 64) -> MaxCorrEstimate:
     """Binned spectral estimate of the maximal correlation.
 
     Bins the copula-scale pairs onto an ``m x m`` grid, normalizes by
-    the marginals, deflates the trivial top singular pair and returns
-    the second singular value.  Requires ``n >= 10 * m**2`` so every
-    bin sees a sensible expected count.
+    the marginals and returns the second singular value; the first one
+    is the trivial pair.  Requires ``n >= 10 * m**2`` so every bin sees
+    a sensible expected count.
 
     Parameters
     ----------
@@ -173,33 +171,25 @@ def estimate_max_corr(sample: PairSample, m: int = 64, tol: float = 1e-10,
         Coordinates must lie in [0, 1].
     m : int
         Bins per axis.
-    tol : float
-        Singular-vector residual tolerance for the power iteration.
 
     Returns
     -------
     MaxCorrEstimate
+        ``residual`` holds the spectral gap ``sigma2 - sigma3``.
     """
-    pairs = np.asarray(getattr(sample, "pairs", sample), dtype=float)
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise ValidationError("sample must be an (n, 2) array of pairs")
-    if np.any(pairs < 0.0) or np.any(pairs > 1.0):
-        raise ValidationError(
-            "estimator needs copula-scale pairs in [0, 1]^2; transform first"
-        )
-    n = pairs.shape[0]
+    op = bin_pairs(sample, int(m))  # validates the pairs and m
+    n = len(getattr(sample, "pairs", sample))
     if n < 10 * int(m) ** 2:
         raise ValidationError(
             f"insufficient sample: the estimator requires n >= 10*m^2 "
             f"(= {10 * int(m) ** 2} for m = {m}), got n = {n}"
         )
-    op = bin_pairs(pairs, int(m))
-    value, residual, _ = second_singular_value_detail(op, tol=tol, max_iter=max_iter)
+    value, gap = second_singular_value(op, return_gap=True)
     return MaxCorrEstimate(
         value=value,
         m=int(m),
         n=n,
-        residual=residual,
+        residual=gap,
         family=getattr(sample, "family", "copula"),
         params=dict(getattr(sample, "params", {})),
         seed=getattr(sample, "seed", None),
@@ -212,6 +202,7 @@ def estimate_max_corr(sample: PairSample, m: int = 64, tol: float = 1e-10,
 
 def sample_gaussian_copula(rho: float, n: int, rng: RngStream) -> PairSample:
     """Pairs ``(Phi(Z1), Phi(Z2))`` with correlated standard normals."""
+    from scipy.special import ndtr  # deferred: only this family needs scipy
     rho = float(rho)
     if not -1.0 < rho < 1.0:
         raise ValidationError("rho must lie in (-1, 1)")
@@ -230,6 +221,7 @@ def gaussian_copula_cdf(rho: float, u, v):
     int_0^rho exp(-(x^2 - 2txy + y^2) / (2(1-t^2))) / sqrt(1-t^2) dt``;
     quantiles are clipped to |x| <= 8, which bounds the error by ~1e-15.
     """
+    from scipy.special import ndtr, ndtri
     rho = float(rho)
     if not -1.0 < rho < 1.0:
         raise ValidationError("rho must lie in (-1, 1)")
@@ -254,8 +246,8 @@ def gaussian_copula_cdf(rho: float, u, v):
     return out if np.ndim(u) or np.ndim(v) else float(out[0])
 
 
-def gaussian_oracle(rho: float, n: int, m: int = 64, rng: RngStream | None = None,
-                    tol: float = 1e-10, max_iter: int = 10000) -> MaxCorrEstimate:
+def gaussian_oracle(rho: float, n: int, m: int = 64,
+                    rng: RngStream | None = None) -> MaxCorrEstimate:
     """Run the estimator on a Gaussian copula draw.
 
     The population answer is ``|rho|``, independent of the margins,
@@ -264,4 +256,4 @@ def gaussian_oracle(rho: float, n: int, m: int = 64, rng: RngStream | None = Non
     if rng is None:
         raise ValidationError("gaussian_oracle requires an RngStream")
     sample = sample_gaussian_copula(rho, n, rng)
-    return estimate_max_corr(sample, m=m, tol=tol, max_iter=max_iter)
+    return estimate_max_corr(sample, m=m)

@@ -119,13 +119,15 @@ class PairSample:
             raise ValidationError("pairs must contain at least one row")
         if self.family not in FAMILIES:
             raise ValidationError(f"unknown family {self.family!r}")
-        if not np.all(np.isfinite(pairs)):
+        # min/max propagate NaN and reach any infinity: one pass each.
+        lo, hi = pairs.min(), pairs.max()
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise ValidationError("pair coordinates must be finite")
         if self.family in COPULA_SCALE_FAMILIES:
-            if np.any(pairs < 0.0) or np.any(pairs > 1.0):
+            if lo < 0.0 or hi > 1.0:
                 raise ValidationError(f"family {self.family!r} lives on [0, 1]^2")
         elif self.family == "mo":
-            if np.any(pairs < 0.0):
+            if lo < 0.0:
                 raise ValidationError("shock-model coordinates must be nonnegative")
         self.pairs = pairs
 

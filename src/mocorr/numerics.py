@@ -2,8 +2,8 @@
 
 Composite Gauss-Legendre quadrature on the unit interval and square, a
 two-sided bivariate ECDF distance, histogram binning of pair samples,
-and the second singular value of the normalized binned operator via
-power iteration with explicit deflation of the known top pair.
+and the second singular value of the normalized binned operator from a
+dense SVD.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EvaluationError, NonConvergenceError, ValidationError
+from .errors import EvaluationError, ValidationError
 
 _RULES = ("gauss-legendre", "tensor-gauss-legendre")
 
@@ -273,6 +273,10 @@ def bin_pairs(sample, m: int) -> BinnedOperator:
     """Histogram a copula-scale pair sample onto an m x m grid.
 
     Coordinates must lie in [0, 1]; the value 1.0 falls in the last bin.
+    Bin ``k`` is ``[e_k, e_{k+1})`` with ``e = linspace(0, 1, m + 1)``,
+    so the counts equal those of ``np.histogram2d`` on ``[0, 1]^2``.
+    A :class:`~mocorr.mo.PairSample` of a copula-scale family checked
+    its range on construction and is not scanned again.
     """
     pairs = np.asarray(getattr(sample, "pairs", sample), dtype=float)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
@@ -281,91 +285,46 @@ def bin_pairs(sample, m: int) -> BinnedOperator:
         raise ValidationError("sample must contain at least one pair")
     if not 2 <= int(m) <= 4096:
         raise ValidationError("m must be in [2, 4096]")
-    u, v = pairs[:, 0], pairs[:, 1]
-    if np.any(u < 0) or np.any(u > 1) or np.any(v < 0) or np.any(v > 1):
+    m = int(m)
+    # min/max propagate NaN, so the comparison also rejects it.
+    if not getattr(sample, "copula_scale", False) \
+            and not (pairs.min() >= 0.0 and pairs.max() <= 1.0):
         raise ValidationError("coordinates must lie in [0, 1] (copula scale)")
-    counts, _, _ = np.histogram2d(u, v, bins=int(m), range=[[0.0, 1.0], [0.0, 1.0]])
+    edges = np.linspace(0.0, 1.0, m + 1)
+    x = pairs.ravel()  # u0, v0, u1, v1, ...
+    idx = (x * m).astype(np.intp)
+    # x * m can round across an edge by one ulp, so check against the
+    # edges themselves; the infinite ends send x = 1 to the last bin.
+    idx -= x < np.append(edges[:m], np.inf)[idx]
+    idx += x >= np.append(edges[1:m], np.inf)[idx]
+    counts = np.bincount(idx[0::2] * m + idx[1::2], minlength=m * m).reshape(m, m)
     return BinnedOperator(counts / pairs.shape[0])
 
 
-def _normalized_matrix(op: BinnedOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def second_singular_value(op: BinnedOperator, return_gap: bool = False):
+    """Second singular value of the marginal-normalized operator.
+
+    The matrix ``A[i, j] = joint[i, j] / sqrt(row[i] * col[j])`` (over
+    nonzero marginals) has top singular pair ``(1, sqrt(row), sqrt(col))``;
+    a dense SVD of ``A`` gives the whole spectrum, and the top value is
+    checked against 1 within 1e-12 before the next one is taken.
+
+    Returns ``sigma2`` clamped to [0, 1]; with ``return_gap=True``, the
+    pair ``(sigma2, sigma2 - sigma3)``, where a small spectral gap means
+    ``sigma2`` is poorly separated from the rest of the spectrum.
+    Raises :class:`EvaluationError` if the top singular value is not 1.
+    """
     rows = op.row_marginal > 0
     cols = op.col_marginal > 0
     u1 = np.sqrt(op.row_marginal[rows])
     v1 = np.sqrt(op.col_marginal[cols])
     A = op.joint_mass[np.ix_(rows, cols)] / np.outer(u1, v1)
-    return A, u1, v1
-
-
-def _power_iteration_second(A, u1, v1, tol, max_iter):
-    """Second singular value of A whose top pair is (1, u1, v1)."""
-    rdim, cdim = A.shape
-    if min(rdim, cdim) < 2:
-        return 0.0, 0.0, 0, np.zeros(cdim)
-    # Deterministic pseudo-random start, independent of any user stream.
-    start = np.random.Generator(np.random.Philox(key=cdim)).standard_normal(cdim)
-    v = start - (v1 @ start) * v1
-    norm = np.linalg.norm(v)
-    if norm < 1e-300:
-        return 0.0, 0.0, 0, v
-    v /= norm
-    sigma = 0.0
-    residual = np.inf
-    for iteration in range(1, int(max_iter) + 1):
-        u = A @ v
-        u -= (u1 @ u) * u1
-        sigma = np.linalg.norm(u)
-        if sigma < 1e-300:
-            return 0.0, 0.0, iteration, v
-        u /= sigma
-        w = A.T @ u
-        w -= (v1 @ w) * v1
-        residual = float(np.linalg.norm(w - sigma * v) / max(sigma, 1e-300))
-        norm = np.linalg.norm(w)
-        if norm < 1e-300:
-            return 0.0, 0.0, iteration, v
-        v = w / norm
-        if residual <= tol:
-            return float(sigma), residual, iteration, v
-    raise NonConvergenceError(
-        f"power iteration did not reach residual {tol:g} in {max_iter} iterations "
-        f"(last residual {residual:g})",
-        iterate=v,
-        residual=residual,
-        iterations=int(max_iter),
-    )
-
-
-def second_singular_value(op: BinnedOperator, tol: float = 1e-10, max_iter: int = 10000) -> float:
-    """Second singular value of the marginal-normalized operator.
-
-    The matrix ``A[i, j] = joint[i, j] / sqrt(row[i] * col[j])`` (over
-    nonzero marginals) has top singular pair ``(1, sqrt(row), sqrt(col))``;
-    that pair is deflated by explicit orthogonalization each iteration
-    and the next singular value is found by power iteration on the
-    residual operator.
-
-    Returns a value clamped to [0, 1].  Raises
-    :class:`NonConvergenceError` (carrying the last iterate and its
-    residual) if the tolerance is not met within ``max_iter``.
-    """
-    if not 0 < tol < 1:
-        raise ValidationError("tol must be in (0, 1)")
-    if int(max_iter) < 1:
-        raise ValidationError("max_iter must be >= 1")
-    A, u1, v1 = _normalized_matrix(op)
-    sigma, _, _, _ = _power_iteration_second(A, u1, v1, tol, int(max_iter))
-    return float(min(max(sigma, 0.0), 1.0))
-
-
-def second_singular_value_detail(op: BinnedOperator, tol: float = 1e-10,
-                                 max_iter: int = 10000) -> tuple[float, float, int]:
-    """Like :func:`second_singular_value` but also reports the achieved
-    residual and the iteration count."""
-    if not 0 < tol < 1:
-        raise ValidationError("tol must be in (0, 1)")
-    if int(max_iter) < 1:
-        raise ValidationError("max_iter must be >= 1")
-    A, u1, v1 = _normalized_matrix(op)
-    sigma, residual, iterations, _ = _power_iteration_second(A, u1, v1, tol, int(max_iter))
-    return float(min(max(sigma, 0.0), 1.0)), residual, iterations
+    sigma = np.linalg.svd(A, compute_uv=False)
+    if not abs(sigma[0] - 1.0) <= 1e-12:
+        raise EvaluationError(
+            f"top singular value of the normalized operator is {sigma[0]!r}, not 1")
+    # Fewer than three occupied rows or columns: the missing values are 0.
+    sigma2, sigma3 = np.clip(np.append(sigma[1:3], [0.0, 0.0])[:2], 0.0, 1.0)
+    if return_gap:
+        return float(sigma2), float(sigma2 - sigma3)
+    return float(sigma2)

@@ -334,3 +334,18 @@ class TestParsing:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "sample" in proc.stdout and "verify" in proc.stdout
+
+    def test_import_leaves_scipy_unloaded(self):
+        # scipy.special is most of the package import time and only the
+        # gaussian family needs it; that path loads it on first use.
+        probe = ("import sys, mocorr; "
+                 "print(sorted({'scipy.special', 'scipy.linalg'} & set(sys.modules)))")
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+        proc = subprocess.run(
+            [sys.executable, "-m", "mocorr.cli", "maxcorr", "--family", "gaussian",
+             "--rho", "0.6", "-n", "100000", "--m", "32"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["abs_error"] < 0.02

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mocorr.errors import EvaluationError, NonConvergenceError, ValidationError
+from mocorr.errors import EvaluationError, ValidationError
 from mocorr.mo import CopulaParams, copula_cdf, sample_copula
 from mocorr.numerics import (
     BinnedOperator,
@@ -15,7 +15,6 @@ from mocorr.numerics import (
     quad_1d,
     quad_2d,
     second_singular_value,
-    second_singular_value_detail,
 )
 from mocorr.rng import RngStream, draw_uniforms
 
@@ -128,6 +127,22 @@ class TestBinnedOperator:
         op = bin_pairs(np.array([[1.0, 1.0]]), 3)
         assert op.joint_mass[2, 2] == 1.0
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValidationError, match="copula scale"):
+            bin_pairs(np.array([[0.5, np.nan]]), 4)
+
+    @pytest.mark.parametrize("m", [3, 10, 64, 100])
+    def test_counts_match_histogram2d_at_the_edges(self, m):
+        # Every edge, its floating-point neighbours on both sides, and 1.0:
+        # the values where floor(x * m) and the edge array can disagree.
+        edges = np.linspace(0.0, 1.0, m + 1)
+        x = np.concatenate([edges, np.nextafter(edges[1:], 0.0),
+                            np.nextafter(edges[:-1], 1.0), [1.0]])
+        y = np.roll(x, 7)
+        reference, _, _ = np.histogram2d(x, y, bins=m, range=[[0.0, 1.0], [0.0, 1.0]])
+        op = bin_pairs(np.column_stack([x, y]), m)
+        np.testing.assert_array_equal(op.joint_mass, reference / len(x))
+
 
 class TestSecondSingularValue:
     def test_independence_product_masses(self):
@@ -163,21 +178,29 @@ class TestSecondSingularValue:
         value = second_singular_value(bin_pairs(sample, 16))
         assert 0.0 <= value <= 1.0
 
-    def test_residual_below_tolerance(self):
-        sample = draw_uniforms(RngStream(34), 100_000, 2)
-        value, residual, iterations = second_singular_value_detail(
-            bin_pairs(sample, 16), tol=1e-10, max_iter=10_000)
-        assert residual <= 1e-10
-        assert iterations < 10_000
+    def test_gap_is_distance_to_third_value(self):
+        gen = RngStream(34).generator()
+        joint = gen.random((16, 16))
+        joint /= joint.sum()
+        op = BinnedOperator(joint)
+        A = joint / np.sqrt(np.outer(op.row_marginal, op.col_marginal))
+        reference = np.linalg.svd(A, compute_uv=False)
+        value, gap = second_singular_value(op, return_gap=True)
+        assert value == second_singular_value(op)
+        assert gap == pytest.approx(reference[1] - reference[2], abs=1e-12)
 
-    def test_nonconvergence_carries_state(self):
-        sample = draw_uniforms(RngStream(35), 100_000, 2)
-        op = bin_pairs(sample, 32)
-        with pytest.raises(NonConvergenceError) as err:
-            second_singular_value(op, tol=1e-14, max_iter=2)
-        assert err.value.iterations == 2
-        assert err.value.residual is not None
-        assert err.value.iterate is not None
+    def test_gap_with_two_occupied_bins_is_the_value(self):
+        op = BinnedOperator(np.array([[0.3, 0.1], [0.1, 0.5]]))
+        value, gap = second_singular_value(op, return_gap=True)
+        assert gap == value
+
+    def test_top_value_off_one_rejected(self):
+        # Marginals that do not normalize the joint mass, set past the
+        # constructor's checks, break the invariant sigma1 = 1.
+        op = BinnedOperator(np.diag([0.5, 0.5]))
+        object.__setattr__(op, "row_marginal", np.array([0.25, 0.25]))
+        with pytest.raises(EvaluationError, match="top singular value"):
+            second_singular_value(op)
 
     def test_empty_rows_are_tolerated(self):
         # A bin with zero mass must be excluded, not divided by.
