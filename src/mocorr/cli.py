@@ -26,7 +26,7 @@ from . import extremes, maxcorr, mo, verify
 from .errors import DivergentMomentError, EvaluationError, ValidationError
 from .numerics import QuadratureSpec
 from .rng import DEFAULT_SEED, RngStream
-from .serialize import canonical_json, format_float, write_csv
+from .serialize import _csv_chunks, canonical_json, write_csv
 
 
 @dataclasses.dataclass(frozen=True)
@@ -164,11 +164,9 @@ def _emit(report: dict, config: RunConfig) -> None:
             fh.write(text)
 
 
-def _emit_csv(header: list[str], rows, config: RunConfig) -> None:
+def _emit_csv(header: str, rows, config: RunConfig) -> None:
     if config.out is None:
-        sys.stdout.write(",".join(header) + "\n")
-        for row in rows:
-            sys.stdout.write(",".join(format_float(v) for v in row) + "\n")
+        sys.stdout.writelines(_csv_chunks(header, rows))
     else:
         write_csv(config.out, header, rows)
 
@@ -200,8 +198,7 @@ def cmd_cdf_eval(args: argparse.Namespace, config: RunConfig) -> int:
         for (u, v), c in zip(points, values)
     ]
     if config.format == "csv":
-        _emit_csv(["u", "v", "value"],
-                  [(r["u"], r["v"], r["value"]) for r in rows], config)
+        _emit_csv("u,v,value", [(r["u"], r["v"], r["value"]) for r in rows], config)
     else:
         _emit({"family": args.family, "params": params_dict, "points": rows}, config)
     return 0
@@ -288,10 +285,7 @@ def cmd_variance(args: argparse.Namespace, config: RunConfig) -> int:
             for i, mode in enumerate(("disjoint", "sliding"))
         }
     if config.format == "csv":
-        if config.out is None:
-            _emit_csv(["zeta", "cov", "se"], report.per_zeta, config)
-        else:
-            report.write_zeta_csv(config.out)
+        _emit_csv("zeta,cov,se", report.per_zeta, config)
     else:
         _emit(payload, config)
     if report.degenerate:

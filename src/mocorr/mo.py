@@ -22,9 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .numerics import ecdf_ks  # noqa: F401  (re-exported convenience)
 from .rng import RngStream, draw_uniforms, draw_iid
-from .serialize import canonical_json, format_float
+from .serialize import canonical_json, write_csv
 
 FAMILIES = ("mo", "copula", "d_xi", "limit_gev", "gaussian")
 
@@ -336,11 +335,7 @@ def write_sample_csv(sample: PairSample, path) -> None:
     import pathlib
 
     path = pathlib.Path(path)
-    header = "u,v" if sample.copula_scale else "x1,x2"
-    lines = [header]
-    for a, b in sample.pairs:
-        lines.append(f"{format_float(a)},{format_float(b)}")
-    path.write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
+    write_csv(path, "u,v" if sample.copula_scale else "x1,x2", sample.pairs)
     meta = {
         "family": sample.family,
         "params": sample.params,

@@ -8,20 +8,13 @@ keys, so identical inputs always produce identical bytes.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 
 import numpy as np
 
 from .errors import ValidationError
-
-
-def format_float(x: float) -> str:
-    """Fixed 17-significant-digit decimal form of a finite float."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValidationError("cannot format a non-finite float")
-    return f"{x:.17g}"
 
 
 def _emit(obj, indent: int, level: int) -> str:
@@ -39,7 +32,7 @@ def _emit(obj, indent: int, level: int) -> str:
         # and carry an explicit flag elsewhere in the report.
         if not math.isfinite(x):
             return "null"
-        return format_float(x)
+        return f"{x:.17g}"
     if isinstance(obj, str):
         return json.dumps(obj, ensure_ascii=True)
     if isinstance(obj, np.ndarray):
@@ -68,11 +61,25 @@ def canonical_json(obj, indent: int = 2) -> str:
     return _emit(obj, indent, 0)
 
 
-def write_csv(path, header: str, rows) -> None:
-    """Write rows of floats as CSV with 17-significant-digit cells."""
-    import pathlib
+#: Rows per formatted string in the CSV writers; bounds the text held in memory.
+CSV_CHUNK_ROWS = 65_536
 
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(format_float(v) for v in row))
-    pathlib.Path(path).write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
+
+def _csv_chunks(header: str, rows):
+    """Check every cell of ``rows`` now, then yield the CSV text lazily: the
+    header line, then one ``%.17g`` string per ``CSV_CHUNK_ROWS`` rows."""
+    table = np.asarray(rows, dtype=float)
+    if not np.isfinite(table).all():
+        raise ValidationError("cannot format a non-finite float")
+    line = ",".join(["%.17g"] * table.shape[-1]) + "\n"
+    chunks = (table[i:i + CSV_CHUNK_ROWS] for i in range(0, len(table), CSV_CHUNK_ROWS))
+    return itertools.chain([header + "\n"], (
+        (line * len(chunk)) % tuple(chunk.ravel().tolist()) for chunk in chunks))
+
+
+def write_csv(path, header: str, rows) -> None:
+    """Write rows of floats as CSV with 17-significant-digit cells, streamed
+    in chunks; a non-finite cell raises before the file is opened."""
+    text = _csv_chunks(header, rows)
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.writelines(text)

@@ -115,6 +115,16 @@ class TestCdfEval:
         assert lines[0] == "u,v,value"
         assert len(lines) == 2
 
+    def test_csv_out_file_matches_stdout(self, tmp_path, capsys):
+        argv = ["cdf-eval", "--family", "copula", "--phi", "0.3", "--psi", "0.7",
+                "--at", "0.5", "0.5", "--at", "0.25", "0.9", "--format", "csv"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        path = tmp_path / "cdf.csv"
+        code, _, err = run_cli(capsys, *argv, "--out", str(path))
+        assert code == 0, err
+        assert path.read_bytes() == out.encode("ascii")
+
     def test_requires_a_point(self, capsys):
         code, _, err = run_cli(capsys, "cdf-eval", "--family", "copula",
                                "--phi", "0.5", "--psi", "0.5")

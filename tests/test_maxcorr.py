@@ -296,6 +296,19 @@ class TestEstimatorDomainEdges:
         assert json.loads(captured.out)["abs_error"] <= 0.02
 
 
+class TestEstimatorNoiseFloor:
+    """At independence the estimate is sampling noise alone, about
+    ``2*sqrt(m-1)/sqrt(n)``: the error that the README quotes below n = 1e6."""
+
+    @pytest.mark.parametrize("n", [40_960, 200_000, 1_000_000])
+    @pytest.mark.parametrize("seed", [82, 83, 84])
+    def test_independence_reads_the_noise_formula(self, n, seed):
+        m = 64
+        est = estimate_max_corr(sample_copula(CopulaParams(0.0, 0.0), n, RngStream(seed)), m=m)
+        floor = 2.0 * math.sqrt(m - 1) / math.sqrt(n)
+        assert 0.75 * floor <= est.value <= 1.25 * floor
+
+
 class TestGaussian:
     def test_cdf_matches_scipy(self):
         gen = RngStream(74).generator()
