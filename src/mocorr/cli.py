@@ -24,6 +24,7 @@ import numpy as np
 
 from . import extremes, maxcorr, mo, verify
 from .errors import DivergentMomentError, EvaluationError, ValidationError
+from .families import FAMILY_TABLE
 from .numerics import QuadratureSpec
 from .rng import DEFAULT_SEED, RngStream
 from .serialize import _csv_chunks, canonical_json, write_csv
@@ -59,100 +60,25 @@ def _add_family_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--rho", type=float, help="correlation (gaussian)")
 
 
-def _require(args: argparse.Namespace, family: str, *names: str) -> list[float]:
+def _family_params(args: argparse.Namespace):
+    """Return (family record, params object) for the selected family."""
+    family = FAMILY_TABLE[args.family]
     values = []
-    for name in names:
+    for name in family.args:
         value = getattr(args, name)
         if value is None:
-            raise ValidationError(f"--{name} is required for --family {family}")
+            raise ValidationError(f"--{name} is required for --family {args.family}")
         values.append(value)
-    return values
-
-
-def _family_params(args: argparse.Namespace):
-    """Return (params object, params dict) for the selected family."""
-    family = args.family
-    if family == "mo":
-        p = mo.MOParams(*_require(args, family, "lam1", "lam2", "lam12"))
-        return p, p.as_dict()
-    if family == "copula":
-        c = mo.CopulaParams(*_require(args, family, "phi", "psi"))
-        return c, c.as_dict()
-    if family == "d_xi":
-        d = mo.DXiParam(*_require(args, family, "xi"))
-        return d, d.as_dict()
-    if family == "limit_gev":
-        zeta, gamma = _require(args, family, "zeta", "gamma")
-        return (extremes.ZetaOverlap(zeta), extremes.GEVShape(gamma)), {
-            "zeta": zeta, "gamma": gamma}
-    if family == "gaussian":
-        (rho,) = _require(args, family, "rho")
-        if not -1.0 < rho < 1.0:
-            raise ValidationError("--rho must lie strictly inside (-1, 1)")
-        return rho, {"rho": rho}
-    raise ValidationError(f"unknown family {family!r}")
-
-
-def _draw(family: str, params, n: int, stream: RngStream) -> mo.PairSample:
-    if family == "mo":
-        return mo.sample_mo(params, n, stream)
-    if family == "copula":
-        return mo.sample_copula(params, n, stream)
-    if family == "d_xi":
-        return mo.sample_d_xi(params, n, stream)
-    if family == "limit_gev":
-        zeta, shape = params
-        return extremes.sample_limit_pair(zeta, shape, n, stream)
-    if family == "gaussian":
-        return maxcorr.sample_gaussian_copula(params, n, stream)
-    raise ValidationError(f"unknown family {family!r}")
-
-
-def _cdf(family: str, params):
-    if family == "mo":
-        return lambda x, y: mo.mo_cdf(params, x, y)
-    if family == "copula":
-        return lambda u, v: mo.copula_cdf(params, u, v)
-    if family == "d_xi":
-        return lambda u, v: mo.d_xi_cdf(params, u, v)
-    if family == "limit_gev":
-        zeta, shape = params
-        return lambda x, y: extremes.limit_copula_cdf(zeta, shape, x, y)
-    if family == "gaussian":
-        return lambda u, v: maxcorr.gaussian_copula_cdf(params, u, v)
-    raise ValidationError(f"unknown family {family!r}")
-
-
-def _closed_form(family: str, params) -> float | None:
-    if family == "mo":
-        return maxcorr.max_corr_from_rates(params)
-    if family == "copula":
-        return maxcorr.max_corr_closed(params)
-    if family == "d_xi":
-        return maxcorr.d_xi_max_corr(params)
-    if family == "limit_gev":
-        zeta, _ = params
-        return 1.0 - zeta.zeta
-    if family == "gaussian":
-        return abs(params)
-    return None
+    return family, family.params(*values)
 
 
 def _functional(args: argparse.Namespace) -> extremes.Functional:
     name = args.h.replace("-", "_")
-    if name == "identity":
-        return extremes.Functional.identity()
-    if name == "square":
-        return extremes.Functional.square()
-    if name == "log_transform":
-        return extremes.Functional.log_transform()
-    if name == "const":
-        return extremes.Functional.const()
-    if name == "indicator":
-        if args.threshold is None:
-            raise ValidationError("--threshold is required for --h indicator")
-        return extremes.Functional.indicator(args.threshold)
-    raise ValidationError(f"unknown functional {args.h!r}")
+    if name != "indicator":
+        return extremes.Functional(name)
+    if args.threshold is None:
+        raise ValidationError("--threshold is required for --h indicator")
+    return extremes.Functional(name, threshold=args.threshold)
 
 
 def _emit(report: dict, config: RunConfig) -> None:
@@ -172,27 +98,27 @@ def _emit_csv(header: str, rows, config: RunConfig) -> None:
 
 
 def cmd_sample(args: argparse.Namespace, config: RunConfig) -> int:
-    params, _ = _family_params(args)
+    family, params = _family_params(args)
     if args.n <= 0:
         raise ValidationError("-n must be a positive integer")
     if config.out is None:
         raise ValidationError("sample requires --out PATH for the CSV payload")
-    sample = _draw(args.family, params, args.n, RngStream(config.seed))
+    sample = family.sample(params, args.n, RngStream(config.seed))
     mo.write_sample_csv(sample, config.out)
     sys.stderr.write(f"wrote {sample.n} pairs to {config.out}\n")
     return 0
 
 
 def cmd_cdf_eval(args: argparse.Namespace, config: RunConfig) -> int:
-    params, params_dict = _family_params(args)
+    family, params = _family_params(args)
     if not args.at:
         raise ValidationError("cdf-eval requires at least one --at U V point")
-    cdf = _cdf(args.family, params)
     points = np.asarray(args.at, dtype=float)
-    if args.family in mo.COPULA_SCALE_FAMILIES:
-        if np.any(points < 0.0) or np.any(points > 1.0):
-            raise ValidationError("points must lie in the unit square for this family")
-    values = cdf(points[:, 0], points[:, 1])
+    # Written so that NaN fails the test too.
+    if args.family in mo.COPULA_SCALE_FAMILIES \
+            and not np.all((points >= 0.0) & (points <= 1.0)):
+        raise ValidationError("points must lie in the unit square for this family")
+    values = family.cdf(params, points[:, 0], points[:, 1])
     rows = [
         {"u": float(u), "v": float(v), "value": float(c)}
         for (u, v), c in zip(points, values)
@@ -200,64 +126,48 @@ def cmd_cdf_eval(args: argparse.Namespace, config: RunConfig) -> int:
     if config.format == "csv":
         _emit_csv("u,v,value", [(r["u"], r["v"], r["value"]) for r in rows], config)
     else:
-        _emit({"family": args.family, "params": params_dict, "points": rows}, config)
+        _emit({"family": args.family, "params": family.as_dict(params), "points": rows},
+              config)
     return 0
 
 
 def cmd_corr(args: argparse.Namespace, config: RunConfig) -> int:
+    _, p = _family_params(args)
     if args.family == "copula":
-        c = mo.CopulaParams(*_require(args, "copula", "phi", "psi"))
         idx = maxcorr.PowerIndex(args.k, args.ell if args.ell is not None else args.k)
         report = {
             "family": "copula",
-            "params": c.as_dict(),
+            "params": p.as_dict(),
             "k": idx.k,
             "ell": idx.ell,
-            "cov": maxcorr.power_cov(c, idx),
+            "cov": maxcorr.power_cov(p, idx),
             "var_k": maxcorr.var_fk(idx.k),
             "var_ell": maxcorr.var_fk(idx.ell),
-            "corr": maxcorr.power_corr(c, idx),
-            "max_corr": maxcorr.max_corr_closed(c),
-        }
-    elif args.family == "d_xi":
-        d = mo.DXiParam(*_require(args, "d_xi", "xi"))
-        report = {
-            "family": "d_xi",
-            "params": d.as_dict(),
-            "k": args.k,
-            "corr": maxcorr.d_xi_corr(d, args.k),
-            "max_corr": maxcorr.d_xi_max_corr(d),
+            "corr": maxcorr.power_corr(p, idx),
+            "max_corr": maxcorr.max_corr_closed(p),
         }
     else:
-        raise ValidationError("corr supports --family copula or d_xi")
+        report = {
+            "family": "d_xi",
+            "params": p.as_dict(),
+            "k": args.k,
+            "corr": maxcorr.d_xi_corr(p, args.k),
+            "max_corr": maxcorr.d_xi_max_corr(p),
+        }
     report["gap"] = report["max_corr"] - report["corr"]
     _emit(report, config)
     return 0
 
 
 def cmd_maxcorr(args: argparse.Namespace, config: RunConfig) -> int:
-    params, _ = _family_params(args)
-    sample = _draw(args.family, params, args.n, RngStream(config.seed))
-    if args.family == "mo":
-        # Rank the margins through their survival functions first; the
-        # estimator expects copula-scale input.
-        pairs = np.column_stack([
-            mo.mo_marginal_survival(params, 1, sample.pairs[:, 0]),
-            mo.mo_marginal_survival(params, 2, sample.pairs[:, 1]),
-        ])
-        sample = mo.PairSample(pairs=pairs, family="copula",
-                               params=sample.params, seed=sample.seed)
-    elif args.family == "limit_gev":
-        # Same idea: push the GEV margins back to uniform.
-        _, shape = params
-        pairs = np.column_stack([
-            extremes.gev_cdf(shape, sample.pairs[:, 0]),
-            extremes.gev_cdf(shape, sample.pairs[:, 1]),
-        ])
-        sample = mo.PairSample(pairs=pairs, family="copula",
-                               params=sample.params, seed=sample.seed)
+    family, params = _family_params(args)
+    sample = family.sample(params, args.n, RngStream(config.seed))
+    if family.to_copula is not None:
+        # The estimator expects copula-scale input.
+        sample = mo.PairSample(pairs=family.to_copula(params, sample.pairs),
+                               family="copula", params=sample.params, seed=sample.seed)
     est = maxcorr.estimate_max_corr(sample, m=args.m)
-    _emit(est.to_report(closed_form=_closed_form(args.family, params)), config)
+    _emit(est.to_report(closed_form=family.max_corr(params)), config)
     return 0
 
 

@@ -24,7 +24,6 @@ from .errors import DivergentMomentError, ValidationError
 from .mo import CopulaParams, PairSample, copula_cdf, copula_pair_from_uniforms
 from .numerics import QuadratureSpec
 from .rng import RngStream, draw_iid, draw_uniforms
-from .serialize import write_csv
 
 #: Default rule for the overlap integral.
 DEFAULT_ZETA_QUAD = QuadratureSpec("gauss-legendre", 32, 1)
@@ -279,7 +278,7 @@ class VarianceReport:
     seed: RngStream | None = None
 
     def __post_init__(self):
-        if self.method not in ("quadrature_mc", "block_simulation"):
+        if self.method != "quadrature_mc":
             raise ValidationError(f"unknown method {self.method!r}")
         if not self.degenerate and (self.sigma2_db < 0 or self.sigma2_sb < -1e-12):
             raise ValidationError("variances must be nonnegative")
@@ -302,10 +301,6 @@ class VarianceReport:
             ],
             "seed": self.seed.state_dict() if self.seed is not None else None,
         }
-
-    def write_zeta_csv(self, path) -> None:
-        """Export the per-overlap covariance curve as ``zeta,cov,se``."""
-        write_csv(path, "zeta,cov,se", self.per_zeta)
 
 
 def sigma2_db(h: Functional, g: GEVShape, n_mc: int = 1_000_000,
@@ -345,30 +340,33 @@ def _cov_se(h1: np.ndarray, h2: np.ndarray) -> tuple[float, float]:
     return cov, se
 
 
+def _limit_pair_draw(name: str, floor: int, h: Functional, g: GEVShape, z: ZetaOverlap,
+                     n_mc: int, rng: RngStream | None):
+    """``(h(Y1), h(Y2))`` over ``n_mc`` overlap-limit pairs, moments checked."""
+    if rng is None:
+        raise ValidationError(f"{name} requires an RngStream")
+    if int(n_mc) < floor:
+        raise ValidationError(f"n_mc must be >= {floor}")
+    check_moments(h, g)
+    h1, h2 = _pair_values(h, g, z.zeta, draw_uniforms(rng, int(n_mc), 3))
+    check_moments(h, g, h1)
+    return h1, h2
+
+
 def limit_pair_cov(h: Functional, g: GEVShape, z: ZetaOverlap,
                    n_mc: int = 200_000, rng: RngStream | None = None) -> tuple[float, float]:
     """MC covariance ``Cov(h(Y1), h(Y2))`` at one overlap, with its SE."""
-    if rng is None:
-        raise ValidationError("limit_pair_cov requires an RngStream")
-    if int(n_mc) < 2:
-        raise ValidationError("n_mc must be >= 2")
-    check_moments(h, g)
-    xyz = draw_uniforms(rng, int(n_mc), 3)
-    h1, h2 = _pair_values(h, g, z.zeta, xyz)
-    check_moments(h, g, h1)
-    return _cov_se(h1, h2)
+    return _cov_se(*_limit_pair_draw("limit_pair_cov", 2, h, g, z, n_mc, rng))
 
 
 def limit_pair_corr(h: Functional, g: GEVShape, z: ZetaOverlap,
                     n_mc: int = 200_000, rng: RngStream | None = None,
                     chunks: int = 25) -> tuple[float, float]:
-    """MC correlation of ``(h(Y1), h(Y2))`` with a chunk-replication SE."""
-    if rng is None:
-        raise ValidationError("limit_pair_corr requires an RngStream")
-    check_moments(h, g)
-    xyz = draw_uniforms(rng, int(n_mc), 3)
-    h1, h2 = _pair_values(h, g, z.zeta, xyz)
-    check_moments(h, g, h1)
+    """MC correlation of ``(h(Y1), h(Y2))`` with a chunk-replication SE.
+
+    Needs ``n_mc >= 4``: the SE takes at least two chunks of two pairs.
+    """
+    h1, h2 = _limit_pair_draw("limit_pair_corr", 4, h, g, z, n_mc, rng)
     corr = float(np.corrcoef(h1, h2)[0, 1])
     chunks = max(2, min(chunks, h1.size // 2))
     parts = [
@@ -446,14 +444,15 @@ def sigma2_sb_indicator_exact(g: GEVShape, threshold: float,
 # Block-maxima simulation
 
 
-_DOA = {
-    "exp": 0.0,
-    "uniform": -1.0,
-    "pareto": None,  # 1/alpha
-    "gumbel": 0.0,
+#: One chunk of the iid base sequence, ``draw(generator, size, alpha)``.
+_BASE = {
+    "exp": lambda gen, size, alpha: gen.standard_exponential(size),
+    "uniform": lambda gen, size, alpha: gen.random(size),
+    "pareto": lambda gen, size, alpha: gen.pareto(alpha, size) + 1.0,
+    "gumbel": lambda gen, size, alpha: gen.gumbel(size=size),
 }
 
-DISTRIBUTIONS = tuple(_DOA)
+DISTRIBUTIONS = tuple(_BASE)
 
 
 def doa_scaling(dist: str, r: int, alpha: float | None = None) -> tuple[float, float, float]:
@@ -464,7 +463,7 @@ def doa_scaling(dist: str, r: int, alpha: float | None = None) -> tuple[float, f
     The uniform and pareto rows target the classical Weibull/Frechet
     forms, affine relabelings of the standard GEV.
     """
-    if dist not in _DOA:
+    if dist not in _BASE:
         raise ValidationError(f"unknown distribution {dist!r}; pick one of {DISTRIBUTIONS}")
     if int(r) < 1:
         raise ValidationError("block size r must be >= 1")
@@ -477,16 +476,6 @@ def doa_scaling(dist: str, r: int, alpha: float | None = None) -> tuple[float, f
     if dist == "uniform":
         return -1.0, 1.0 / r, 1.0
     return 0.0, 1.0, math.log(r)
-
-
-def _draw_base(dist: str, n: int, rng: RngStream, alpha: float | None) -> np.ndarray:
-    if dist == "exp":
-        return draw_iid(rng, n, lambda gen, size: gen.standard_exponential(size))
-    if dist == "uniform":
-        return draw_iid(rng, n, lambda gen, size: gen.random(size))
-    if dist == "pareto":
-        return draw_iid(rng, n, lambda gen, size: gen.pareto(alpha, size) + 1.0)
-    return draw_iid(rng, n, lambda gen, size: gen.gumbel(size=size))
 
 
 def sliding_max(x: np.ndarray, r: int) -> np.ndarray:
@@ -596,7 +585,7 @@ def block_maxima_simulate(dist: str, r: int, n_blocks: int, mode: str,
     gamma, a_r, b_r = doa_scaling(dist, r, alpha)
     g = GEVShape(gamma)
     check_moments(h, g)
-    x = _draw_base(dist, total, rng, alpha)
+    x = draw_iid(rng, total, lambda gen, size: _BASE[dist](gen, size, alpha))
 
     if mode == "disjoint":
         maxima = x.reshape(n_blocks, r).max(axis=1)

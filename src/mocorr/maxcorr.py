@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ValidationError
 from .mo import CopulaParams, DXiParam, MOParams, PairSample
 from .numerics import bin_pairs, second_singular_value
-from .rng import RngStream, draw_standard_normals
+from .rng import RngStream, draw_iid
 
 
 @dataclass(frozen=True)
@@ -208,7 +208,7 @@ def sample_gaussian_copula(rho: float, n: int, rng: RngStream) -> PairSample:
         raise ValidationError("rho must lie in (-1, 1)")
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or int(n) < 1:
         raise ValidationError("n must be a positive integer")
-    z = draw_standard_normals(rng, int(n), 2)
+    z = draw_iid(rng, int(n), lambda g, size: g.standard_normal((size, 2)))
     z2 = rho * z[:, 0] + math.sqrt(1.0 - rho * rho) * z[:, 1]
     pairs = np.column_stack([ndtr(z[:, 0]), ndtr(z2)])
     return PairSample(pairs, "gaussian", {"rho": rho}, rng)
@@ -227,7 +227,8 @@ def gaussian_copula_cdf(rho: float, u, v):
         raise ValidationError("rho must lie in (-1, 1)")
     a = np.atleast_1d(np.asarray(u, dtype=float))
     b = np.atleast_1d(np.asarray(v, dtype=float))
-    if np.any(a < 0) or np.any(a > 1) or np.any(b < 0) or np.any(b > 1):
+    # Written so that NaN fails the test too.
+    if not (np.all((a >= 0) & (a <= 1)) and np.all((b >= 0) & (b <= 1))):
         raise ValidationError("copula arguments must lie in [0, 1]")
     a, b = np.broadcast_arrays(a, b)
     x = np.clip(ndtri(np.clip(a, 1e-300, 1.0)), -8.0, 8.0)

@@ -247,8 +247,7 @@ def sample_mo(p: MOParams, n: int, rng: RngStream) -> PairSample:
     shared shock arrives first.
     """
     n = _check_n(n)
-    shocks = draw_iid(rng, n, lambda g, size: g.standard_exponential((size, 3)).ravel())
-    shocks = shocks.reshape(n, 3)
+    shocks = draw_iid(rng, n, lambda g, size: g.standard_exponential((size, 3)))
     z1 = shocks[:, 0] / p.lambda1
     z2 = shocks[:, 1] / p.lambda2
     z12 = shocks[:, 2] / p.lambda12

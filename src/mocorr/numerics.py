@@ -1,9 +1,9 @@
 """Deterministic numerical kernels.
 
-Composite Gauss-Legendre quadrature on the unit interval and square, a
-two-sided bivariate ECDF distance, histogram binning of pair samples,
-and the second singular value of the normalized binned operator from a
-dense SVD.
+Composite Gauss-Legendre nodes on the unit interval and quadrature on
+the unit square, a two-sided bivariate ECDF distance, histogram binning
+of pair samples, and the second singular value of the normalized binned
+operator from a dense SVD.
 """
 
 from __future__ import annotations
@@ -59,34 +59,6 @@ class QuadratureSpec:
 
 #: Default rule for covariance integrals on the unit square.
 DEFAULT_QUAD_2D = QuadratureSpec("tensor-gauss-legendre", 32, 8)
-
-#: Default rule for the overlap integral on [0, 1].
-DEFAULT_QUAD_1D = QuadratureSpec("gauss-legendre", 32, 1)
-
-
-def _require_finite(values: np.ndarray, where: np.ndarray) -> None:
-    bad = ~np.isfinite(values)
-    if np.any(bad):
-        idx = np.argwhere(bad)[0]
-        node = where[tuple(idx)] if where.ndim > 1 else where[idx[0]]
-        raise EvaluationError(f"integrand is non-finite at node {node}")
-
-
-def quad_1d(f, spec: QuadratureSpec = DEFAULT_QUAD_1D) -> float:
-    """Integrate ``f`` over [0, 1].
-
-    ``f`` must accept a 1-D array of nodes and return values of the same
-    shape.  Non-finite values raise :class:`EvaluationError` naming the
-    offending node.
-    """
-    if spec.rule != "gauss-legendre":
-        raise ValidationError("quad_1d requires the gauss-legendre rule")
-    nodes, weights = spec.axis_nodes()
-    values = np.asarray(f(nodes), dtype=float)
-    if values.shape != nodes.shape:
-        raise ValidationError("integrand must return one value per node")
-    _require_finite(values, nodes)
-    return float(weights @ values)
 
 
 def quad_2d(f, spec: QuadratureSpec = DEFAULT_QUAD_2D) -> float:

@@ -90,6 +90,12 @@ def chunk_sizes(n: int, chunks: int = MC_CHUNKS) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(chunks)]
 
 
+def _draw_chunks(stream: RngStream, n: int, draw) -> np.ndarray:
+    # n = 0 is one chunk of size 0, so the trailing shape survives.
+    return np.concatenate([np.asarray(draw(stream.child(i).generator(), size))
+                           for i, size in enumerate(chunk_sizes(n))])
+
+
 def draw_uniforms(stream: RngStream, n: int, cols: int = 1) -> np.ndarray:
     """Draw an ``(n, cols)`` array of U(0,1) variates, chunk by chunk.
 
@@ -99,35 +105,12 @@ def draw_uniforms(stream: RngStream, n: int, cols: int = 1) -> np.ndarray:
     """
     if cols < 1:
         raise ValidationError("cols must be >= 1")
-    parts = []
-    for i, size in enumerate(chunk_sizes(n)):
-        if size:
-            parts.append(stream.child(i).generator().random((size, cols)))
-    if not parts:
-        return np.empty((0, cols))
-    out = np.concatenate(parts, axis=0)
-    return out
-
-
-def draw_standard_normals(stream: RngStream, n: int, cols: int = 1) -> np.ndarray:
-    """Chunked standard normal draws, same determinism contract as uniforms."""
-    if cols < 1:
-        raise ValidationError("cols must be >= 1")
-    parts = []
-    for i, size in enumerate(chunk_sizes(n)):
-        if size:
-            parts.append(stream.child(i).generator().standard_normal((size, cols)))
-    if not parts:
-        return np.empty((0, cols))
-    return np.concatenate(parts, axis=0)
+    return _draw_chunks(stream, n, lambda gen, size: gen.random((size, cols)))
 
 
 def draw_iid(stream: RngStream, n: int, sampler) -> np.ndarray:
-    """Chunked draws from ``sampler(generator, size) -> array`` of shape (size,)."""
-    parts = []
-    for i, size in enumerate(chunk_sizes(n)):
-        if size:
-            parts.append(np.asarray(sampler(stream.child(i).generator(), size)))
-    if not parts:
-        return np.empty(0)
-    return np.concatenate(parts)
+    """Chunked draws from ``sampler(generator, size)``, an array whose
+    first axis has length ``size``; same determinism contract as
+    :func:`draw_uniforms`.
+    """
+    return _draw_chunks(stream, n, sampler)

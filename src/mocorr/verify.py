@@ -16,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import extremes, maxcorr, mo
+from .families import FAMILY_TABLE
 from .numerics import QuadratureSpec, ecdf_ks, quad_2d
-from .rng import DEFAULT_SEED, RngStream, draw_uniforms
+from .rng import DEFAULT_SEED, RngStream
 
 
 @dataclass(frozen=True)
@@ -133,6 +134,19 @@ def check_max_stability(sizes: BatterySizes, rng: RngStream,
                        f"max defect {worst:.3e} over m in (2, 3, 5)")
 
 
+#: Per family, in draw order: its random parameters and the label of
+#: its worst case.
+_KS_CASES = (
+    ("copula", lambda gen: gen.uniform(0.05, 0.95, size=2), lambda d: f"copula{d}"),
+    ("d_xi", lambda gen: [gen.uniform(0.1, 1.0)], lambda d: f"d_xi{d}"),
+    ("mo", lambda gen: gen.uniform(0.3, 2.5, size=3), lambda d: f"mo{d}"),
+    ("limit_gev", lambda gen: [gen.uniform(0.1, 0.9), gen.uniform(-0.5, 0.8)],
+     lambda d: f"limit_gev(zeta={d['zeta']:.3f}, gamma={d['gamma']:.3f})"),
+    ("gaussian", lambda gen: [gen.uniform(-0.85, 0.85)],
+     lambda d: f"gaussian(rho={d['rho']:.3f})"),
+)
+
+
 def check_sampler_ks(sizes: BatterySizes, rng: RngStream) -> CheckResult:
     """Each sampler against its own cdf, plus the transformed shock pairs."""
     gen = rng.generator()
@@ -141,48 +155,22 @@ def check_sampler_ks(sizes: BatterySizes, rng: RngStream) -> CheckResult:
     worst_name = ""
     stream_index = 0
     for _ in range(sizes.ks_draws):
-        c = _random_copula(gen)
-        sample = mo.sample_copula(c, sizes.ks_n, rng.child(stream_index)); stream_index += 1
-        d = ecdf_ks(sample, lambda u, v: mo.copula_cdf(c, u, v))
-        if d > worst:
-            worst, worst_name = d, f"copula{c.as_dict()}"
-
-        dparam = mo.DXiParam(float(gen.uniform(0.1, 1.0)))
-        sample = mo.sample_d_xi(dparam, sizes.ks_n, rng.child(stream_index)); stream_index += 1
-        d = ecdf_ks(sample, lambda u, v: mo.d_xi_cdf(dparam, u, v))
-        if d > worst:
-            worst, worst_name = d, f"d_xi{dparam.as_dict()}"
-
-        p = mo.MOParams(*map(float, gen.uniform(0.3, 2.5, size=3)))
-        sample = mo.sample_mo(p, sizes.ks_n, rng.child(stream_index)); stream_index += 1
-        d = ecdf_ks(sample, lambda a, b: mo.mo_cdf(p, a, b))
-        if d > worst:
-            worst, worst_name = d, f"mo{p.as_dict()}"
-        # The same draw transformed through the marginal survivals must
-        # follow the survival copula.
-        c2 = mo.mo_to_copula(p)
-        transformed = np.column_stack([
-            mo.mo_marginal_survival(p, 1, sample.pairs[:, 0]),
-            mo.mo_marginal_survival(p, 2, sample.pairs[:, 1]),
-        ])
-        d = ecdf_ks(transformed, lambda u, v: mo.copula_cdf(c2, u, v))
-        if d > worst:
-            worst, worst_name = d, f"mo->copula{p.as_dict()}"
-
-        zeta = extremes.ZetaOverlap(float(gen.uniform(0.1, 0.9)))
-        shape = extremes.GEVShape(float(gen.uniform(-0.5, 0.8)))
-        sample = extremes.sample_limit_pair(zeta, shape, sizes.ks_n, rng.child(stream_index))
-        stream_index += 1
-        d = ecdf_ks(sample, lambda a, b: extremes.limit_copula_cdf(zeta, shape, a, b))
-        if d > worst:
-            worst, worst_name = d, f"limit_gev(zeta={zeta.zeta:.3f}, gamma={shape.gamma:.3f})"
-
-        rho = float(gen.uniform(-0.85, 0.85))
-        sample = maxcorr.sample_gaussian_copula(rho, sizes.ks_n, rng.child(stream_index))
-        stream_index += 1
-        d = ecdf_ks(sample, lambda u, v: maxcorr.gaussian_copula_cdf(rho, u, v))
-        if d > worst:
-            worst, worst_name = d, f"gaussian(rho={rho:.3f})"
+        for name, draw, label in _KS_CASES:
+            family = FAMILY_TABLE[name]
+            p = family.params(*map(float, draw(gen)))
+            sample = family.sample(p, sizes.ks_n, rng.child(stream_index))
+            stream_index += 1
+            d = ecdf_ks(sample, lambda x, y: family.cdf(p, x, y))
+            if d > worst:
+                worst, worst_name = d, label(family.as_dict(p))
+            if name == "mo":
+                # The same draw taken through the marginal survivals must
+                # follow the survival copula.
+                c = mo.mo_to_copula(p)
+                d = ecdf_ks(family.to_copula(p, sample.pairs),
+                            lambda u, v: mo.copula_cdf(c, u, v))
+                if d > worst:
+                    worst, worst_name = d, f"mo->copula{p.as_dict()}"
     return CheckResult("sampler-ks", worst < threshold,
                        f"worst KS {worst:.4f} ({worst_name}) vs threshold {threshold:.4f}")
 

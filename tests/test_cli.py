@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from mocorr.cli import main
+from mocorr.families import FAMILY_TABLE
 from mocorr.maxcorr import max_corr_closed, power_corr, PowerIndex
-from mocorr.mo import CopulaParams, copula_cdf
+from mocorr.mo import FAMILIES, CopulaParams, copula_cdf
 
 
 def run_cli(capsys, *argv):
@@ -131,6 +132,41 @@ class TestCdfEval:
         assert code == 1
         assert "--at" in err
 
+    def test_nan_point_rejected(self, capsys):
+        code, out, err = run_cli(
+            capsys, "cdf-eval", "--family", "gaussian", "--rho", "0.5",
+            "--at", "nan", "0.5")
+        assert code == 1
+        assert out == ""
+        assert "unit square" in err
+
+
+FAMILY_ARGS = {
+    "mo": ["--l1", "1", "--l2", "2", "--l12", "1.5"],
+    "copula": ["--phi", "0.3", "--psi", "0.7"],
+    "d_xi": ["--xi", "0.5"],
+    "limit_gev": ["--zeta", "0.3", "--gamma", "0.2"],
+    "gaussian": ["--rho", "0.5"],
+}
+
+
+class TestFamilyTable:
+    def test_table_covers_every_family(self):
+        assert set(FAMILY_TABLE) == set(FAMILIES) == set(FAMILY_ARGS)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_every_family_runs_through_each_subcommand(self, family, tmp_path, capsys):
+        args = ["--family", family, *FAMILY_ARGS[family], "--seed", "5"]
+        code, _, err = run_cli(capsys, "sample", *args, "-n", "2000",
+                               "--out", str(tmp_path / "s.csv"))
+        assert code == 0, err
+        code, out, err = run_cli(capsys, "cdf-eval", *args, "--at", "0.25", "0.5")
+        assert code == 0, err
+        assert 0.0 <= json.loads(out)["points"][0]["value"] <= 1.0
+        code, out, err = run_cli(capsys, "maxcorr", *args, "-n", "20000", "--m", "8")
+        assert code == 0, err
+        assert math.isfinite(json.loads(out)["abs_error"])
+
 
 class TestCorr:
     def test_reruns_identical_and_consistent(self, capsys):
@@ -233,6 +269,13 @@ class TestVariance:
             "--n-mc", "10000", "--zeta-nodes", "8")
         assert code == 1
         assert "--threshold" in err
+
+    def test_threshold_ignored_unless_indicator(self, capsys):
+        code, out, err = run_cli(
+            capsys, "variance", "--h", "identity", "--threshold", "3", "--gamma", "0",
+            "--n-mc", "10000", "--zeta-nodes", "4")
+        assert code == 0, err
+        assert json.loads(out)["h"] == {"name": "identity", "threshold": None}
 
     def test_csv_zeta_curve(self, capsys):
         code, out, _ = run_cli(

@@ -228,6 +228,13 @@ class TestOverlapCovariance:
                                        RngStream(89).child(i))
             assert corr <= (1.0 - zeta) + 3 * se
 
+    @pytest.mark.parametrize("n_mc", [1, 2, 3])
+    def test_corr_rejects_too_few_pairs(self, n_mc):
+        # Its SE needs two chunks of two pairs; fewer gave NaN.
+        with pytest.raises(ValidationError, match="n_mc"):
+            limit_pair_corr(Functional.identity(), GEVShape(0.0), ZetaOverlap(0.5),
+                            n_mc, RngStream(91))
+
     def test_indicator_exact_vs_mc(self):
         g, t = GEVShape(0.3), 0.8
         z = ZetaOverlap(0.4)

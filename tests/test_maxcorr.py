@@ -325,6 +325,12 @@ class TestGaussian:
         np.testing.assert_allclose(gaussian_copula_cdf(0.6, u, np.ones_like(u)), u,
                                    atol=1e-12)
 
+    def test_cdf_rejects_nan(self):
+        with pytest.raises(ValidationError, match=r"\[0, 1\]"):
+            gaussian_copula_cdf(0.5, np.array([np.nan, 0.5]), np.array([0.5, 0.5]))
+        with pytest.raises(ValidationError, match=r"\[0, 1\]"):
+            gaussian_copula_cdf(0.5, 0.5, float("nan"))
+
     def test_sampler_ks(self):
         s = sample_gaussian_copula(0.6, 100_000, RngStream(75))
         assert ecdf_ks(s, lambda u, v: gaussian_copula_cdf(0.6, u, v)) < 0.01

@@ -12,7 +12,6 @@ from mocorr.numerics import (
     QuadratureSpec,
     bin_pairs,
     ecdf_ks,
-    quad_1d,
     quad_2d,
     second_singular_value,
 )
@@ -31,10 +30,6 @@ class TestQuadrature:
         # Gauss rules are exact through degree 2*nodes - 1 per axis.
         value = quad_2d(lambda u, v: u ** a * v ** b)
         assert value == pytest.approx(1.0 / ((a + 1) * (b + 1)), abs=1e-12)
-
-    def test_1d_polynomial(self):
-        assert quad_1d(lambda t: 2.0 * (1.0 - t)) == pytest.approx(1.0, abs=1e-13)
-        assert quad_1d(lambda t: t ** 63) == pytest.approx(1.0 / 64.0, abs=1e-12)
 
     def test_kink_integrand_frozen_value(self):
         # Hand-computed covariance integral for phi = psi = 0.5 at the

@@ -9,7 +9,7 @@ from mocorr.rng import (
     MC_CHUNKS,
     RngStream,
     chunk_sizes,
-    draw_standard_normals,
+    draw_iid,
     draw_uniforms,
 )
 
@@ -61,14 +61,18 @@ def test_draw_uniforms_independent_of_chunking():
 
 
 def test_draw_normals_shape_and_determinism():
-    a = draw_standard_normals(RngStream(11), 513, 3)
-    b = draw_standard_normals(RngStream(11), 513, 3)
+    def normals(g, size):
+        return g.standard_normal((size, 3))
+
+    a = draw_iid(RngStream(11), 513, normals)
+    b = draw_iid(RngStream(11), 513, normals)
     assert a.shape == (513, 3)
     np.testing.assert_array_equal(a, b)
 
 
 def test_zero_draws_allowed():
     assert draw_uniforms(RngStream(1), 0, 2).shape == (0, 2)
+    assert draw_iid(RngStream(1), 0, lambda g, size: g.random((size, 3))).shape == (0, 3)
 
 
 def test_invalid_seed_rejected():
