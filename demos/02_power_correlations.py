@@ -40,7 +40,7 @@ for m in (1, 10, 100, 1_000, 10_000):
 # Independent cross-check of one entry by integrating the copula excess
 # over the unit square (the covariance form with weights u^k v^l).
 k, ell = 1.0, 2.0
-spec = QuadratureSpec("tensor-gauss-legendre", 32, 32)
+spec = QuadratureSpec(32, 32)
 cov = quad_2d(lambda u, v: (copula_cdf(c, u, v) - u * v) * u ** k * v ** ell, spec)
 quad_corr = cov / math.sqrt(var_fk(k) * var_fk(ell))
 closed = power_corr(c, PowerIndex(k, ell))

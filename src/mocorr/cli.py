@@ -17,7 +17,6 @@ Exit codes: 0 success, 1 invalid arguments, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 import numpy as np
@@ -30,13 +29,6 @@ from .rng import DEFAULT_SEED, RngStream
 from .serialize import _csv_chunks, canonical_json, write_csv
 
 
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    seed: int
-    out: str | None
-    format: str
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad flags; route through the
     # validation path instead so 2 stays reserved for numerical failures.
@@ -45,26 +37,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_family_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--family", required=True, choices=mo.FAMILIES)
-    parser.add_argument("--lam1", "--l1", type=float,
-                        help="first individual shock rate (mo)")
-    parser.add_argument("--lam2", "--l2", type=float,
-                        help="second individual shock rate (mo)")
-    parser.add_argument("--lam12", "--l12", type=float,
-                        help="common shock rate (mo)")
-    parser.add_argument("--phi", type=float, help="first copula exponent (copula)")
-    parser.add_argument("--psi", type=float, help="second copula exponent (copula)")
-    parser.add_argument("--xi", type=float, help="section family parameter (d_xi)")
-    parser.add_argument("--zeta", type=float, help="block overlap fraction (limit_gev)")
-    parser.add_argument("--gamma", type=float, help="GEV shape (limit_gev)")
-    parser.add_argument("--rho", type=float, help="correlation (gaussian)")
+    parser.add_argument("--family", required=True, choices=tuple(FAMILY_TABLE))
+    for key, family in FAMILY_TABLE.items():
+        for name, text, *aliases in family.args:
+            parser.add_argument(f"--{name}", *(f"--{a}" for a in aliases), type=float,
+                                help=f"{text} ({key})")
 
 
 def _family_params(args: argparse.Namespace):
     """Return (family record, params object) for the selected family."""
     family = FAMILY_TABLE[args.family]
     values = []
-    for name in family.args:
+    for name, *_ in family.args:
         value = getattr(args, name)
         if value is None:
             raise ValidationError(f"--{name} is required for --family {args.family}")
@@ -81,41 +65,41 @@ def _functional(args: argparse.Namespace) -> extremes.Functional:
     return extremes.Functional(name, threshold=args.threshold)
 
 
-def _emit(report: dict, config: RunConfig) -> None:
+def _emit(report: dict, out: str | None) -> None:
     text = canonical_json(report) + "\n"
-    if config.out is None:
+    if out is None:
         sys.stdout.write(text)
     else:
-        with open(config.out, "w", encoding="utf-8") as fh:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
 
 
-def _emit_csv(header: str, rows, config: RunConfig) -> None:
-    if config.out is None:
+def _emit_csv(header: str, rows, out: str | None) -> None:
+    if out is None:
         sys.stdout.writelines(_csv_chunks(header, rows))
     else:
-        write_csv(config.out, header, rows)
+        write_csv(out, header, rows)
 
 
-def cmd_sample(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_sample(args: argparse.Namespace) -> int:
     family, params = _family_params(args)
     if args.n <= 0:
         raise ValidationError("-n must be a positive integer")
-    if config.out is None:
+    if args.out is None:
         raise ValidationError("sample requires --out PATH for the CSV payload")
-    sample = family.sample(params, args.n, RngStream(config.seed))
-    mo.write_sample_csv(sample, config.out)
-    sys.stderr.write(f"wrote {sample.n} pairs to {config.out}\n")
+    sample = family.sample(params, args.n, RngStream(args.seed))
+    mo.write_sample_csv(sample, args.out)
+    sys.stderr.write(f"wrote {sample.n} pairs to {args.out}\n")
     return 0
 
 
-def cmd_cdf_eval(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_cdf_eval(args: argparse.Namespace) -> int:
     family, params = _family_params(args)
     if not args.at:
         raise ValidationError("cdf-eval requires at least one --at U V point")
     points = np.asarray(args.at, dtype=float)
     # Written so that NaN fails the test too.
-    if args.family in mo.COPULA_SCALE_FAMILIES \
+    if family.to_copula is None \
             and not np.all((points >= 0.0) & (points <= 1.0)):
         raise ValidationError("points must lie in the unit square for this family")
     values = family.cdf(params, points[:, 0], points[:, 1])
@@ -123,15 +107,15 @@ def cmd_cdf_eval(args: argparse.Namespace, config: RunConfig) -> int:
         {"u": float(u), "v": float(v), "value": float(c)}
         for (u, v), c in zip(points, values)
     ]
-    if config.format == "csv":
-        _emit_csv("u,v,value", [(r["u"], r["v"], r["value"]) for r in rows], config)
+    if args.format == "csv":
+        _emit_csv("u,v,value", [(r["u"], r["v"], r["value"]) for r in rows], args.out)
     else:
         _emit({"family": args.family, "params": family.as_dict(params), "points": rows},
-              config)
+              args.out)
     return 0
 
 
-def cmd_corr(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_corr(args: argparse.Namespace) -> int:
     _, p = _family_params(args)
     if args.family == "copula":
         idx = maxcorr.PowerIndex(args.k, args.ell if args.ell is not None else args.k)
@@ -155,29 +139,32 @@ def cmd_corr(args: argparse.Namespace, config: RunConfig) -> int:
             "max_corr": maxcorr.d_xi_max_corr(p),
         }
     report["gap"] = report["max_corr"] - report["corr"]
-    _emit(report, config)
+    _emit(report, args.out)
     return 0
 
 
-def cmd_maxcorr(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_maxcorr(args: argparse.Namespace) -> int:
     family, params = _family_params(args)
-    sample = family.sample(params, args.n, RngStream(config.seed))
+    sample = family.sample(params, args.n, RngStream(args.seed))
     if family.to_copula is not None:
         # The estimator expects copula-scale input.
         sample = mo.PairSample(pairs=family.to_copula(params, sample.pairs),
                                family="copula", params=sample.params, seed=sample.seed)
     est = maxcorr.estimate_max_corr(sample, m=args.m)
-    _emit(est.to_report(closed_form=family.max_corr(params)), config)
+    _emit(est.to_report(closed_form=family.max_corr(params)), args.out)
     return 0
 
 
-def cmd_variance(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_variance(args: argparse.Namespace) -> int:
     h = _functional(args)
     g = extremes.GEVShape(args.gamma)
-    quad = QuadratureSpec("gauss-legendre", args.zeta_nodes, 1)
-    report = extremes.sigma2_sb(h, g, quad, args.n_mc, RngStream(config.seed))
-    payload = report.to_report()
+    quad = QuadratureSpec(args.zeta_nodes, 1)
+    # The block-simulation flags are checked before any Monte Carlo runs.
     if args.blocksim_dist is not None:
+        if args.format == "csv":
+            raise ValidationError(
+                "--format csv writes only the zeta curve: the block simulation "
+                "has no CSV form")
         if args.blocksim_r is None or args.blocksim_blocks is None:
             raise ValidationError(
                 "--blocksim-dist requires --blocksim-r and --blocksim-blocks")
@@ -187,17 +174,20 @@ def cmd_variance(args: argparse.Namespace, config: RunConfig) -> int:
             raise ValidationError(
                 f"--blocksim-dist {args.blocksim_dist} has shape {gamma_dist:g}, "
                 f"which contradicts --gamma {args.gamma:g}")
-        sim_stream = RngStream(config.seed, stream_id=1)
+    report = extremes.sigma2_sb(h, g, quad, args.n_mc, RngStream(args.seed))
+    payload = report.to_report()
+    if args.blocksim_dist is not None:
+        sim_stream = RngStream(args.seed, stream_id=1)
         payload["block_simulation"] = {
             mode: extremes.block_maxima_simulate(
                 args.blocksim_dist, args.blocksim_r, args.blocksim_blocks,
                 mode, h, sim_stream.child(i), alpha=args.alpha).to_report()
             for i, mode in enumerate(("disjoint", "sliding"))
         }
-    if config.format == "csv":
-        _emit_csv("zeta,cov,se", report.per_zeta, config)
+    if args.format == "csv":
+        _emit_csv("zeta,cov,se", report.per_zeta, args.out)
     else:
-        _emit(payload, config)
+        _emit(payload, args.out)
     if report.degenerate:
         sys.stderr.write("inequality check: skipped (degenerate functional)\n")
         return 0
@@ -211,10 +201,10 @@ def cmd_variance(args: argparse.Namespace, config: RunConfig) -> int:
     return 0
 
 
-def cmd_blocksim(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_blocksim(args: argparse.Namespace) -> int:
     h = _functional(args)
     modes = ("disjoint", "sliding") if args.mode == "both" else (args.mode,)
-    stream = RngStream(config.seed)
+    stream = RngStream(args.seed)
     reports = {}
     for i, mode in enumerate(modes):
         result = extremes.block_maxima_simulate(
@@ -222,22 +212,22 @@ def cmd_blocksim(args: argparse.Namespace, config: RunConfig) -> int:
             alpha=args.alpha)
         reports[mode] = result.to_report()
     if len(reports) == 1:
-        _emit(next(iter(reports.values())), config)
+        _emit(next(iter(reports.values())), args.out)
     else:
         ratio = reports["sliding"]["estimate"] / reports["disjoint"]["estimate"] \
             if reports["disjoint"]["estimate"] > 0 else float("nan")
         _emit({"disjoint": reports["disjoint"], "sliding": reports["sliding"],
-               "ratio": ratio}, config)
+               "ratio": ratio}, args.out)
     return 0
 
 
-def cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
-    results = verify.run_battery(seed=config.seed, quick=args.quick,
+def cmd_verify(args: argparse.Namespace) -> int:
+    results = verify.run_battery(seed=args.seed, quick=args.quick,
                                  inject_defect=args.inject_defect)
     for r in results:
         status = "ok  " if r.passed else "FAIL"
         sys.stderr.write(f"{status} {r.name}: {r.detail}\n")
-    _emit(verify.battery_report(results, config.seed, args.quick), config)
+    _emit(verify.battery_report(results, args.seed, args.quick), args.out)
     return 0 if all(r.passed for r in results) else 3
 
 
@@ -247,8 +237,10 @@ def build_parser() -> _Parser:
                         help="root RNG seed (default %(default)s)")
     common.add_argument("--out", type=str, default=None,
                         help="output path (default stdout)")
-    common.add_argument("--format", choices=("json", "csv"), default="json",
-                        help="output format where both are defined")
+    # Only the subcommands with a CSV form take --format.
+    formatted = _Parser(add_help=False)
+    formatted.add_argument("--format", choices=("json", "csv"), default="json",
+                           help="output format where both are defined")
 
     parser = _Parser(prog="mocorr", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -260,7 +252,7 @@ def build_parser() -> _Parser:
     p.add_argument("-n", "--n", type=int, required=True, help="number of pairs")
     p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("cdf-eval", parents=[common],
+    p = sub.add_parser("cdf-eval", parents=[common, formatted],
                        help="evaluate the joint cdf at explicit points")
     _add_family_arguments(p)
     p.add_argument("--at", type=float, nargs=2, action="append",
@@ -284,7 +276,7 @@ def build_parser() -> _Parser:
     p.add_argument("--m", type=int, default=64, help="bins per axis")
     p.set_defaults(func=cmd_maxcorr)
 
-    p = sub.add_parser("variance", parents=[common],
+    p = sub.add_parser("variance", parents=[common, formatted],
                        help="disjoint vs sliding block variances of a functional")
     p.add_argument("--h", required=True,
                    choices=("identity", "square", "log-transform", "indicator", "const"))
@@ -333,8 +325,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        config = RunConfig(seed=args.seed, out=args.out, format=args.format)
-        return args.func(args, config)
+        return args.func(args)
     except (ValidationError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -24,14 +24,15 @@ from .errors import ValidationError
 class Family:
     """How to build, draw, evaluate and score one pair family.
 
-    ``params(*values)`` takes the values of ``args`` in order;
-    ``sample(p, n, stream)``, ``cdf(p, x, y)``, ``max_corr(p)`` and
-    ``as_dict(p)`` take the params it returns.  ``to_copula(p, pairs)``
+    ``args`` holds one ``(name, help, *aliases)`` entry per parameter,
+    read from the CLI flags ``--name`` and ``--alias``; ``params(*values)``
+    takes their values in order; ``sample(p, n, stream)``, ``cdf(p, x, y)``, ``max_corr(p)``
+    and ``as_dict(p)`` take the params it returns.  ``to_copula(p, pairs)``
     maps an ``(n, 2)`` draw onto [0, 1]^2 through the margins, and is
     ``None`` for families already there.
     """
 
-    args: tuple[str, ...]
+    args: tuple[tuple[str, ...], ...]
     params: Callable
     as_dict: Callable
     sample: Callable
@@ -48,7 +49,10 @@ def _rho(rho: float) -> float:
 
 FAMILY_TABLE = {
     "mo": Family(
-        ("lam1", "lam2", "lam12"), mo.MOParams, lambda p: p.as_dict(),
+        (("lam1", "first individual shock rate", "l1"),
+         ("lam2", "second individual shock rate", "l2"),
+         ("lam12", "common shock rate", "l12")),
+        mo.MOParams, lambda p: p.as_dict(),
         lambda p, n, s: mo.sample_mo(p, n, s),
         lambda p, x, y: mo.mo_cdf(p, x, y),
         lambda p: maxcorr.max_corr_from_rates(p),
@@ -57,17 +61,18 @@ FAMILY_TABLE = {
             mo.mo_marginal_survival(p, 2, pairs[:, 1]),
         ])),
     "copula": Family(
-        ("phi", "psi"), mo.CopulaParams, lambda c: c.as_dict(),
+        (("phi", "first copula exponent"), ("psi", "second copula exponent")),
+        mo.CopulaParams, lambda c: c.as_dict(),
         lambda c, n, s: mo.sample_copula(c, n, s),
         lambda c, u, v: mo.copula_cdf(c, u, v),
         lambda c: maxcorr.max_corr_closed(c)),
     "d_xi": Family(
-        ("xi",), mo.DXiParam, lambda d: d.as_dict(),
+        (("xi", "section family parameter"),), mo.DXiParam, lambda d: d.as_dict(),
         lambda d, n, s: mo.sample_d_xi(d, n, s),
         lambda d, u, v: mo.d_xi_cdf(d, u, v),
         lambda d: maxcorr.d_xi_max_corr(d)),
     "limit_gev": Family(
-        ("zeta", "gamma"),
+        (("zeta", "block overlap fraction"), ("gamma", "GEV shape")),
         lambda zeta, gamma: (extremes.ZetaOverlap(zeta), extremes.GEVShape(gamma)),
         lambda p: {"zeta": p[0].zeta, "gamma": p[1].gamma},
         lambda p, n, s: extremes.sample_limit_pair(*p, n, s),
@@ -78,7 +83,7 @@ FAMILY_TABLE = {
             extremes.gev_cdf(p[1], pairs[:, 1]),
         ])),
     "gaussian": Family(
-        ("rho",), _rho, lambda rho: {"rho": rho},
+        (("rho", "correlation"),), _rho, lambda rho: {"rho": rho},
         lambda rho, n, s: maxcorr.sample_gaussian_copula(rho, n, s),
         lambda rho, u, v: maxcorr.gaussian_copula_cdf(rho, u, v),
         abs),

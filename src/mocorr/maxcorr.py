@@ -184,7 +184,7 @@ def estimate_max_corr(sample: PairSample, m: int = 64) -> MaxCorrEstimate:
             f"insufficient sample: the estimator requires n >= 10*m^2 "
             f"(= {10 * int(m) ** 2} for m = {m}), got n = {n}"
         )
-    value, gap = second_singular_value(op, return_gap=True)
+    value, gap = second_singular_value(op)
     return MaxCorrEstimate(
         value=value,
         m=int(m),

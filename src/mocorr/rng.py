@@ -81,11 +81,11 @@ class RngStream:
         return {"seed": self.seed, "stream_id": self.stream_id}
 
 
-def chunk_sizes(n: int, chunks: int = MC_CHUNKS) -> list[int]:
-    """Deterministic split of ``n`` draws into at most ``chunks`` pieces."""
+def chunk_sizes(n: int) -> list[int]:
+    """Deterministic split of ``n`` draws into at most ``MC_CHUNKS`` pieces."""
     if n < 0:
         raise ValidationError("n must be nonnegative")
-    chunks = min(chunks, max(n, 1))
+    chunks = min(MC_CHUNKS, max(n, 1))
     base, extra = divmod(n, chunks)
     return [base + (1 if i < extra else 0) for i in range(chunks)]
 

@@ -17,9 +17,9 @@ import numpy as np
 from .errors import ValidationError
 
 
-def _emit(obj, indent: int, level: int) -> str:
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
+def _emit(obj, level: int) -> str:
+    pad = "  " * level
+    pad_in = "  " * (level + 1)
     if obj is None:
         return "null"
     if isinstance(obj, bool) or isinstance(obj, np.bool_):
@@ -40,7 +40,7 @@ def _emit(obj, indent: int, level: int) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [pad_in + _emit(v, indent, level + 1) for v in obj]
+        items = [pad_in + _emit(v, level + 1) for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     if isinstance(obj, dict):
         if not obj:
@@ -49,16 +49,16 @@ def _emit(obj, indent: int, level: int) -> str:
             if not isinstance(key, str):
                 raise ValidationError("report keys must be strings")
         items = [
-            pad_in + json.dumps(k, ensure_ascii=True) + ": " + _emit(obj[k], indent, level + 1)
+            pad_in + json.dumps(k, ensure_ascii=True) + ": " + _emit(obj[k], level + 1)
             for k in sorted(obj)
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     raise ValidationError(f"cannot serialize object of type {type(obj).__name__}")
 
 
-def canonical_json(obj, indent: int = 2) -> str:
-    """Deterministic JSON text: sorted keys, %.17g floats, fixed indent."""
-    return _emit(obj, indent, 0)
+def canonical_json(obj) -> str:
+    """Deterministic JSON text: sorted keys, %.17g floats, two-space indent."""
+    return _emit(obj, 0)
 
 
 #: Rows per formatted string in the CSV writers; bounds the text held in memory.

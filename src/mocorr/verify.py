@@ -178,7 +178,7 @@ def check_sampler_ks(sizes: BatterySizes, rng: RngStream) -> CheckResult:
 def check_quadrature_agreement(sizes: BatterySizes, rng: RngStream) -> CheckResult:
     """Closed-form power covariances against the 2-D quadrature route."""
     gen = rng.generator()
-    spec = QuadratureSpec("tensor-gauss-legendre", 32, 16)
+    spec = QuadratureSpec(32, 16)
     worst = 0.0
     for _ in range(sizes.quad_cases):
         c = _random_copula(gen)
@@ -251,7 +251,7 @@ def check_gaussian_oracle(sizes: BatterySizes, rng: RngStream) -> CheckResult:
 
 def check_variance_inequality(sizes: BatterySizes, rng: RngStream) -> CheckResult:
     """sigma2_sb <= sigma2_db within MC noise for two functionals."""
-    quad = QuadratureSpec("gauss-legendre", sizes.zeta_nodes, 1)
+    quad = QuadratureSpec(sizes.zeta_nodes, 1)
     worst = -np.inf
     cases = [
         (extremes.Functional.identity(), extremes.GEVShape(0.0)),

@@ -111,7 +111,7 @@ def criterion_3() -> dict:
     """Power-function correlation: closed form, quadrature, and MC agree."""
     root = RngStream(20260821)
     gen = root.generator()
-    spec = QuadratureSpec("tensor-gauss-legendre", 32, 32)
+    spec = QuadratureSpec(32, 32)
     worst_quad = 0.0
     worst_mc = 0.0
     cases = []

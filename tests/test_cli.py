@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from mocorr import extremes
 from mocorr.cli import main
 from mocorr.families import FAMILY_TABLE
 from mocorr.maxcorr import max_corr_closed, power_corr, PowerIndex
@@ -307,6 +308,27 @@ class TestVariance:
         assert code == 1
         assert "contradicts" in err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--blocksim-dist", "exp"], "requires --blocksim-r"),
+        (["--blocksim-dist", "exp", "--blocksim-r", "100"], "requires --blocksim-r"),
+        (["--blocksim-dist", "uniform", "--blocksim-r", "100", "--blocksim-blocks", "100"],
+         "contradicts"),
+        (["--format", "csv", "--blocksim-dist", "exp", "--blocksim-r", "100",
+          "--blocksim-blocks", "200"], "no CSV form"),
+    ])
+    def test_blocksim_flags_checked_before_monte_carlo(self, flags, message, capsys,
+                                                       monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("Monte Carlo ran before the flags were checked")
+
+        monkeypatch.setattr(extremes, "sigma2_sb", refuse)
+        monkeypatch.setattr(extremes, "block_maxima_simulate", refuse)
+        code, out, err = run_cli(capsys, "variance", "--h", "identity", "--gamma", "0",
+                                 *flags)
+        assert code == 1
+        assert out == ""
+        assert message in err
+
 
 class TestBlocksim:
     def test_unit_block_uniform(self, capsys):
@@ -372,6 +394,22 @@ class TestParsing:
     def test_no_subcommand(self, capsys):
         code, _, _ = run_cli(capsys)
         assert code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--family", "copula", "--phi", "0.3", "--psi", "0.7", "-n", "10"],
+        ["corr", "--phi", "0.3", "--psi", "0.7", "--k", "1"],
+        ["maxcorr", "--family", "copula", "--phi", "0.3", "--psi", "0.7",
+         "-n", "20000", "--m", "8"],
+        ["blocksim", "--dist", "exp", "--r", "10", "--n-blocks", "20"],
+        ["verify", "--quick"],
+    ], ids=lambda argv: argv[0])
+    def test_format_rejected_without_a_csv_form(self, argv, tmp_path, capsys):
+        # These subcommands have one output form, so they take no --format.
+        code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "out"),
+                                 "--format", "csv")
+        assert code == 1
+        assert "--format" in err
+        assert not (tmp_path / "out").exists()
 
     def test_console_script_wired(self):
         proc = subprocess.run(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mocorr.errors import DivergentMomentError, ValidationError
+from mocorr.errors import DivergentMomentError, EvaluationError, ValidationError
 from mocorr.extremes import (
     DEFAULT_ZETA_QUAD,
     DISTRIBUTIONS,
@@ -38,7 +38,7 @@ GUMBEL_VAR = math.pi ** 2 / 6.0
 shapes = st.floats(min_value=-0.9, max_value=2.0)
 levels = st.floats(min_value=1e-6, max_value=1.0 - 1e-6)
 
-FAST_ZETA_QUAD = QuadratureSpec("gauss-legendre", 16, 1)
+FAST_ZETA_QUAD = QuadratureSpec(16, 1)
 
 
 class TestGev:
@@ -234,6 +234,12 @@ class TestOverlapCovariance:
         with pytest.raises(ValidationError, match="n_mc"):
             limit_pair_corr(Functional.identity(), GEVShape(0.0), ZetaOverlap(0.5),
                             n_mc, RngStream(91))
+
+    @pytest.mark.parametrize("h", [Functional.const(), Functional.indicator(1e6)])
+    def test_corr_rejects_functional_constant_on_the_draw(self, h):
+        # The correlation divides by a zero standard deviation there.
+        with pytest.raises(EvaluationError, match="zero variance"):
+            limit_pair_corr(h, GEVShape(0.0), ZetaOverlap(0.5), 1000, RngStream(92))
 
     def test_indicator_exact_vs_mc(self):
         g, t = GEVShape(0.3), 0.8

@@ -71,7 +71,7 @@ class TestPowerCov:
     ])
     def test_hoeffding_quadrature_agreement(self, phi, psi, k, ell):
         c = CopulaParams(phi, psi)
-        spec = QuadratureSpec("tensor-gauss-legendre", 32, 128)
+        spec = QuadratureSpec(32, 128)
 
         def integrand(u, v):
             # survival form P(U>u, V>v) - (1-u)(1-v) equals C(u,v) - uv
