@@ -147,9 +147,10 @@ def cmd_maxcorr(args: argparse.Namespace) -> int:
     family, params = _family_params(args)
     sample = family.sample(params, args.n, RngStream(args.seed))
     if family.to_copula is not None:
-        # The estimator expects copula-scale input.
+        # The estimator expects copula-scale input; bin_pairs checks the
+        # range of the mapped pairs, which keep their family's label.
         sample = mo.PairSample(pairs=family.to_copula(params, sample.pairs),
-                               family="copula", params=sample.params, seed=sample.seed)
+                               family=args.family, params=sample.params, seed=sample.seed)
     est = maxcorr.estimate_max_corr(sample, m=args.m)
     _emit(est.to_report(closed_form=family.max_corr(params)), args.out)
     return 0
@@ -168,8 +169,8 @@ def cmd_variance(args: argparse.Namespace) -> int:
         if args.blocksim_r is None or args.blocksim_blocks is None:
             raise ValidationError(
                 "--blocksim-dist requires --blocksim-r and --blocksim-blocks")
-        gamma_dist = extremes.doa_scaling(args.blocksim_dist, args.blocksim_r,
-                                          args.alpha)[0]
+        gamma_dist = extremes._block_scaling(args.blocksim_dist, args.blocksim_r,
+                                             args.blocksim_blocks, args.alpha)[0]
         if abs(gamma_dist - args.gamma) > 1e-12:
             raise ValidationError(
                 f"--blocksim-dist {args.blocksim_dist} has shape {gamma_dist:g}, "
@@ -216,8 +217,7 @@ def cmd_blocksim(args: argparse.Namespace) -> int:
     else:
         ratio = reports["sliding"]["estimate"] / reports["disjoint"]["estimate"] \
             if reports["disjoint"]["estimate"] > 0 else float("nan")
-        _emit({"disjoint": reports["disjoint"], "sliding": reports["sliding"],
-               "ratio": ratio}, args.out)
+        _emit({**reports, "ratio": ratio}, args.out)
     return 0
 
 
@@ -241,6 +241,7 @@ def build_parser() -> _Parser:
     formatted = _Parser(add_help=False)
     formatted.add_argument("--format", choices=("json", "csv"), default="json",
                            help="output format where both are defined")
+    functionals = tuple(name.replace("_", "-") for name in extremes.FUNCTIONAL_NAMES)
 
     parser = _Parser(prog="mocorr", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -278,8 +279,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("variance", parents=[common, formatted],
                        help="disjoint vs sliding block variances of a functional")
-    p.add_argument("--h", required=True,
-                   choices=("identity", "square", "log-transform", "indicator", "const"))
+    p.add_argument("--h", required=True, choices=functionals)
     p.add_argument("--threshold", type=float, help="indicator threshold")
     p.add_argument("--gamma", type=float, required=True, help="GEV shape")
     p.add_argument("--n-mc", type=int, default=200_000,
@@ -305,8 +305,7 @@ def build_parser() -> _Parser:
                    help="number of disjoint blocks")
     p.add_argument("--mode", choices=("disjoint", "sliding", "both"),
                    default="both")
-    p.add_argument("--h", default="identity",
-                   choices=("identity", "square", "log-transform", "indicator", "const"))
+    p.add_argument("--h", default="identity", choices=functionals)
     p.add_argument("--threshold", type=float, help="indicator threshold")
     p.set_defaults(func=cmd_blocksim)
 

@@ -16,12 +16,12 @@ iid sequences with disjoint or sliding block maxima.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import DivergentMomentError, EvaluationError, ValidationError
-from .mo import CopulaParams, PairSample, copula_cdf, copula_pair_from_uniforms
+from .mo import CopulaParams, PairSample, _check_n, copula_cdf, copula_pair_from_uniforms
 from .numerics import QuadratureSpec
 from .rng import RngStream, draw_iid, draw_uniforms
 
@@ -104,15 +104,16 @@ def _safe_levels(u: np.ndarray) -> np.ndarray:
     return np.clip(u, 1e-300, 1.0 - 1e-16)
 
 
+def _limit_pair(g: GEVShape, zeta: float, xyz: np.ndarray):
+    """Overlap-limit pair ``(Y1, Y2)`` at ``zeta`` from ``(n, 3)`` uniforms."""
+    phi = 1.0 - zeta
+    u, v = copula_pair_from_uniforms(xyz[:, 0], xyz[:, 1], xyz[:, 2], phi, phi)
+    return gev_quantile(g, _safe_levels(u)), gev_quantile(g, _safe_levels(v))
+
+
 def sample_limit_pair(z: ZetaOverlap, g: GEVShape, n: int, rng: RngStream) -> PairSample:
     """Draw ``n`` overlap-limit pairs on the GEV scale."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or int(n) < 1:
-        raise ValidationError("n must be a positive integer")
-    xyz = draw_uniforms(rng, int(n), 3)
-    phi = 1.0 - z.zeta
-    u, v = copula_pair_from_uniforms(xyz[:, 0], xyz[:, 1], xyz[:, 2], phi, phi)
-    y1 = gev_quantile(g, _safe_levels(u))
-    y2 = gev_quantile(g, _safe_levels(v))
+    y1, y2 = _limit_pair(g, z.zeta, draw_uniforms(rng, _check_n(n), 3))
     return PairSample(np.column_stack([y1, y2]), "limit_gev",
                       {"zeta": z.zeta, "gamma": g.gamma}, rng)
 
@@ -121,16 +122,26 @@ def sample_limit_pair(z: ZetaOverlap, g: GEVShape, n: int, rng: RngStream) -> Pa
 # Functionals and the moment guard
 
 
-_TAIL_ORDER = {
-    "identity": 1,
-    "square": 2,
-    "log_transform": 0,
-    "indicator": 0,
-    "const": 0,
-    "custom_table": 0,
+def _log_transform(h, a, gamma):
+    if gamma == 0.0:
+        return a
+    w = 1.0 + gamma * a
+    if np.any(w <= 0.0):
+        raise ValidationError(f"log_transform undefined outside the gamma={gamma} support")
+    return np.log(w) / gamma
+
+
+#: Each functional's tail order (``h(x)`` grows like ``x**order``; 0 for
+#: bounded or logarithmic growth) and its evaluator ``(h, x, gamma)``.
+_FUNCTIONALS = {
+    "identity": (1, lambda h, a, gamma: a),
+    "square": (2, lambda h, a, gamma: a * a),
+    "log_transform": (0, _log_transform),
+    "indicator": (0, lambda h, a, gamma: (a > h.threshold).astype(float)),
+    "const": (0, lambda h, a, gamma: np.ones_like(a)),
 }
 
-FUNCTIONAL_NAMES = tuple(_TAIL_ORDER)
+FUNCTIONAL_NAMES = tuple(_FUNCTIONALS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,33 +150,19 @@ class Functional:
 
     ``log_transform`` is ``x -> log(1 + gamma*x) / gamma`` (identity at
     gamma = 0), the monotone map sending the gamma-shaped limit to the
-    Gumbel law; ``indicator`` needs a ``threshold``; ``custom_table``
-    interpolates a bounded tabulated function.
+    Gumbel law; ``indicator`` needs a ``threshold``.
     """
 
     name: str
     threshold: float | None = None
-    table: tuple | None = None
 
     def __post_init__(self):
-        if self.name not in _TAIL_ORDER:
+        if self.name not in _FUNCTIONALS:
             raise ValidationError(f"unknown functional {self.name!r}")
         if self.name == "indicator":
             if self.threshold is None or not math.isfinite(float(self.threshold)):
                 raise ValidationError("indicator requires a finite threshold")
             object.__setattr__(self, "threshold", float(self.threshold))
-        if self.name == "custom_table":
-            if self.table is None:
-                raise ValidationError("custom_table requires a table")
-            xs = np.asarray(self.table[0], dtype=float)
-            ys = np.asarray(self.table[1], dtype=float)
-            if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 2:
-                raise ValidationError("table must be two equal-length 1-D arrays")
-            if np.any(np.diff(xs) <= 0):
-                raise ValidationError("table abscissae must increase strictly")
-            if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
-                raise ValidationError("table values must be finite")
-            object.__setattr__(self, "table", (xs, ys))
 
     @classmethod
     def identity(cls):
@@ -187,38 +184,13 @@ class Functional:
     def const(cls):
         return cls("const")
 
-    @classmethod
-    def from_table(cls, xs, ys):
-        return cls("custom_table", table=(xs, ys))
-
     @property
     def tail_order(self) -> int:
-        return _TAIL_ORDER[self.name]
+        return _FUNCTIONALS[self.name][0]
 
     def evaluate(self, x, gamma: float = 0.0):
         """Apply the functional; ``gamma`` matters only to log_transform."""
-        a = np.asarray(x, dtype=float)
-        if self.name == "identity":
-            out = a
-        elif self.name == "square":
-            out = a * a
-        elif self.name == "log_transform":
-            if gamma == 0.0:
-                out = a
-            else:
-                w = 1.0 + gamma * a
-                if np.any(w <= 0.0):
-                    raise ValidationError(
-                        f"log_transform undefined outside the gamma={gamma} support"
-                    )
-                out = np.log(w) / gamma
-        elif self.name == "indicator":
-            out = (a > self.threshold).astype(float)
-        elif self.name == "const":
-            out = np.ones_like(a)
-        else:
-            xs, ys = self.table
-            out = np.interp(a, xs, ys)
+        out = _FUNCTIONALS[self.name][1](self, np.asarray(x, dtype=float), gamma)
         return out if np.ndim(out) else float(out)
 
     def as_dict(self) -> dict:
@@ -280,23 +252,10 @@ class VarianceReport:
             raise ValidationError("variances must be nonnegative")
 
     def to_report(self) -> dict:
-        return {
-            "method": "quadrature_mc",
-            "h": self.h,
-            "gamma": self.gamma,
-            "n": self.n,
-            "block_size": None,
-            "sigma2_db": self.sigma2_db,
-            "sigma2_db_se": self.sigma2_db_se,
-            "sigma2_sb": self.sigma2_sb,
-            "sigma2_sb_se": self.sigma2_sb_se,
-            "ratio": self.ratio,
-            "degenerate": self.degenerate,
-            "per_zeta": [
-                {"zeta": z, "cov": c, "se": s} for z, c, s in self.per_zeta
-            ],
-            "seed": self.seed.state_dict() if self.seed is not None else None,
-        }
+        out = asdict(self)
+        out.update(method="quadrature_mc", block_size=None, per_zeta=[
+            {"zeta": z, "cov": c, "se": s} for z, c, s in self.per_zeta])
+        return out
 
 
 def sigma2_db(h: Functional, g: GEVShape, n_mc: int = 1_000_000,
@@ -319,13 +278,9 @@ def sigma2_db(h: Functional, g: GEVShape, n_mc: int = 1_000_000,
 
 
 def _pair_values(h: Functional, g: GEVShape, zeta: float, xyz: np.ndarray):
-    phi = 1.0 - zeta
-    u, v = copula_pair_from_uniforms(xyz[:, 0], xyz[:, 1], xyz[:, 2], phi, phi)
-    y1 = gev_quantile(g, _safe_levels(u))
-    y2 = gev_quantile(g, _safe_levels(v))
-    h1 = np.asarray(h.evaluate(y1, g.gamma), dtype=float)
-    h2 = np.asarray(h.evaluate(y2, g.gamma), dtype=float)
-    return h1, h2
+    y1, y2 = _limit_pair(g, zeta, xyz)
+    return (np.asarray(h.evaluate(y1, g.gamma), dtype=float),
+            np.asarray(h.evaluate(y2, g.gamma), dtype=float))
 
 
 def _cov_se(h1: np.ndarray, h2: np.ndarray) -> tuple[float, float]:
@@ -360,20 +315,20 @@ def limit_pair_corr(h: Functional, g: GEVShape, z: ZetaOverlap,
     """MC correlation of ``(h(Y1), h(Y2))`` with an SE from 25 chunks.
 
     Needs ``n_mc >= 4``: the SE takes at least two chunks of two pairs.
-    Raises :class:`EvaluationError` when ``h`` is constant on the draw,
-    where the correlation is undefined.
+    Raises :class:`EvaluationError` when ``h`` is constant on one of the
+    chunks (so also when it is constant on the whole draw), where a
+    correlation the result needs is undefined.
     """
     h1, h2 = _limit_pair_draw("limit_pair_corr", 4, h, g, z, n_mc, rng)
-    if h1.min() == h1.max() or h2.min() == h2.max():
-        raise EvaluationError(
-            f"h={h.name} has zero variance on the draw at zeta={z.zeta}; "
-            "its correlation is undefined")
-    corr = float(np.corrcoef(h1, h2)[0, 1])
     chunks = max(2, min(25, h1.size // 2))
-    parts = [
-        float(np.corrcoef(a, b)[0, 1])
-        for a, b in zip(np.array_split(h1, chunks), np.array_split(h2, chunks))
-    ]
+    parts = []
+    for i, (a, b) in enumerate(zip(np.array_split(h1, chunks), np.array_split(h2, chunks))):
+        if a.min() == a.max() or b.min() == b.max():
+            raise EvaluationError(
+                f"h={h.name} has zero variance on chunk {i + 1} of {chunks} of the "
+                f"draw at zeta={z.zeta}; its correlation is undefined")
+        parts.append(float(np.corrcoef(a, b)[0, 1]))
+    corr = float(np.corrcoef(h1, h2)[0, 1])
     se = float(np.std(parts, ddof=1) / math.sqrt(len(parts)))
     return corr, se
 
@@ -441,12 +396,24 @@ def sigma2_sb_indicator_exact(g: GEVShape, threshold: float,
 # Block-maxima simulation
 
 
-#: One chunk of the iid base sequence, ``draw(generator, size, alpha)``.
+def _pareto_scaling(r: int, alpha):
+    if alpha is None or not math.isfinite(float(alpha)) or float(alpha) <= 0:
+        raise ValidationError("pareto requires alpha > 0")
+    alpha = float(alpha)
+    return 1.0 / alpha, r ** (1.0 / alpha), 0.0
+
+
+#: Per base distribution: one chunk of the iid sequence,
+#: ``draw(generator, size, alpha)``, and the normalizing constants
+#: ``scaling(r, alpha) -> (gamma, a_r, b_r)``.
 _BASE = {
-    "exp": lambda gen, size, alpha: gen.standard_exponential(size),
-    "uniform": lambda gen, size, alpha: gen.random(size),
-    "pareto": lambda gen, size, alpha: gen.pareto(alpha, size) + 1.0,
-    "gumbel": lambda gen, size, alpha: gen.gumbel(size=size),
+    "exp": (lambda gen, size, alpha: gen.standard_exponential(size),
+            lambda r, alpha: (0.0, 1.0, math.log(r))),
+    "uniform": (lambda gen, size, alpha: gen.random(size),
+                lambda r, alpha: (-1.0, 1.0 / r, 1.0)),
+    "pareto": (lambda gen, size, alpha: gen.pareto(alpha, size) + 1.0, _pareto_scaling),
+    "gumbel": (lambda gen, size, alpha: gen.gumbel(size=size),
+               lambda r, alpha: (0.0, 1.0, math.log(r))),
 }
 
 DISTRIBUTIONS = tuple(_BASE)
@@ -464,15 +431,27 @@ def doa_scaling(dist: str, r: int, alpha: float | None = None) -> tuple[float, f
         raise ValidationError(f"unknown distribution {dist!r}; pick one of {DISTRIBUTIONS}")
     if int(r) < 1:
         raise ValidationError("block size r must be >= 1")
-    r = int(r)
-    if dist == "pareto":
-        if alpha is None or not math.isfinite(float(alpha)) or float(alpha) <= 0:
-            raise ValidationError("pareto requires alpha > 0")
-        alpha = float(alpha)
-        return 1.0 / alpha, r ** (1.0 / alpha), 0.0
-    if dist == "uniform":
-        return -1.0, 1.0 / r, 1.0
-    return 0.0, 1.0, math.log(r)
+    return _BASE[dist][1](int(r), alpha)
+
+
+def _block_scaling(dist: str, r: int, n_blocks: int,
+                   alpha: float | None = None) -> tuple[float, float, float]:
+    """Check the block-simulation sizes, then return :func:`doa_scaling`.
+
+    Cheap enough to run before any Monte Carlo, so the CLI calls it
+    ahead of the work as well.
+    """
+    if int(r) < 1:
+        raise ValidationError("block size r must be >= 1")
+    if int(n_blocks) < 2:
+        raise ValidationError("n_blocks must be >= 2")
+    total = int(r) * int(n_blocks)
+    if total > MAX_SEQUENCE_LENGTH:
+        raise ValidationError(
+            f"sequence length r*n_blocks = {total} exceeds the cap "
+            f"{MAX_SEQUENCE_LENGTH}; reduce r or n_blocks"
+        )
+    return doa_scaling(dist, r, alpha)
 
 
 def sliding_max(x: np.ndarray, r: int) -> np.ndarray:
@@ -527,28 +506,7 @@ class BlockSimResult:
     seed: RngStream | None = None
 
     def to_report(self) -> dict:
-        out = {
-            "estimate": self.estimate,
-            "se": self.se,
-            "mode": self.mode,
-            "dist": self.dist,
-            "alpha": self.alpha,
-            "r": self.r,
-            "n_blocks": self.n_blocks,
-            "gamma": self.gamma,
-            "a_r": self.a_r,
-            "b_r": self.b_r,
-            "h": self.h,
-            "seed": self.seed.state_dict() if self.seed is not None else None,
-        }
-        return out
-
-
-def _chunk_se(values_estimator, segments: list[np.ndarray]) -> float:
-    if len(segments) < 2:
-        return float("nan")
-    parts = [values_estimator(seg) for seg in segments]
-    return float(np.std(parts, ddof=1) / math.sqrt(len(parts)))
+        return asdict(self)
 
 
 def block_maxima_simulate(dist: str, r: int, n_blocks: int, mode: str,
@@ -568,39 +526,27 @@ def block_maxima_simulate(dist: str, r: int, n_blocks: int, mode: str,
         raise ValidationError("block_maxima_simulate requires an RngStream")
     if mode not in ("disjoint", "sliding"):
         raise ValidationError("mode must be 'disjoint' or 'sliding'")
-    if int(r) < 1:
-        raise ValidationError("block size r must be >= 1")
-    if int(n_blocks) < 2:
-        raise ValidationError("n_blocks must be >= 2")
+    gamma, a_r, b_r = _block_scaling(dist, r, n_blocks, alpha)
     r, n_blocks = int(r), int(n_blocks)
-    total = r * n_blocks
-    if total > MAX_SEQUENCE_LENGTH:
-        raise ValidationError(
-            f"sequence length r*n_blocks = {total} exceeds the cap "
-            f"{MAX_SEQUENCE_LENGTH}; reduce r or n_blocks"
-        )
-    gamma, a_r, b_r = doa_scaling(dist, r, alpha)
     g = GEVShape(gamma)
     check_moments(h, g)
-    x = draw_iid(rng, total, lambda gen, size: _BASE[dist](gen, size, alpha))
+    x = draw_iid(rng, r * n_blocks, lambda gen, size: _BASE[dist][0](gen, size, alpha))
 
-    if mode == "disjoint":
-        maxima = x.reshape(n_blocks, r).max(axis=1)
-        values = np.asarray(h.evaluate((maxima - b_r) / a_r, gamma), dtype=float)
-        check_moments(h, g, values)
-        estimate = float(np.var(values, ddof=1))
-        k = min(20, n_blocks // 2)
-        segments = np.array_split(values, k) if k >= 2 else []
-        se = _chunk_se(lambda seg: float(np.var(seg, ddof=1)), list(segments))
-    else:
-        maxima = sliding_max(x, r)
-        values = np.asarray(h.evaluate((maxima - b_r) / a_r, gamma), dtype=float)
-        check_moments(h, g, values)
-        estimate = _lag_window_estimate(values, r)
-        n_windows = values.size
-        k = min(20, n_windows // (2 * r))
-        segments = np.array_split(values, k) if k >= 2 else []
-        se = _chunk_se(lambda seg: _lag_window_estimate(seg, r), list(segments))
+    sliding = mode == "sliding"
+    maxima = sliding_max(x, r) if sliding else x.reshape(n_blocks, r).max(axis=1)
+    values = np.asarray(h.evaluate((maxima - b_r) / a_r, gamma), dtype=float)
+    check_moments(h, g, values)
+
+    def estimator(seg):
+        return _lag_window_estimate(seg, r) if sliding else float(np.var(seg, ddof=1))
+
+    estimate = estimator(values)
+    # Up to 20 segments, each spanning at least two blocks.
+    k = min(20, values.size // (2 * r) if sliding else n_blocks // 2)
+    se = float("nan")
+    if k >= 2:
+        parts = [estimator(seg) for seg in np.array_split(values, k)]
+        se = float(np.std(parts, ddof=1) / math.sqrt(k))
 
     return BlockSimResult(
         estimate=estimate,

@@ -12,12 +12,12 @@ resulting operator (the first one is always the trivial pair).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .mo import CopulaParams, DXiParam, MOParams, PairSample
+from .mo import CopulaParams, DXiParam, MOParams, PairSample, _check_n
 from .numerics import bin_pairs, second_singular_value
 from .rng import RngStream, draw_iid
 
@@ -55,17 +55,11 @@ class MaxCorrEstimate:
 
     def to_report(self, closed_form: float | None = None) -> dict:
         """JSON-ready report; pass the closed form to include the error."""
-        return {
-            "family": self.family,
-            "params": self.params,
-            "n": self.n,
-            "m": self.m,
-            "estimate": self.value,
-            "closed_form": closed_form,
-            "abs_error": None if closed_form is None else abs(self.value - closed_form),
-            "residual": self.residual,
-            "seed": self.seed.state_dict() if self.seed is not None else None,
-        }
+        out = asdict(self)
+        out["estimate"] = out.pop("value")
+        out["closed_form"] = closed_form
+        out["abs_error"] = None if closed_form is None else abs(self.value - closed_form)
+        return out
 
 
 def power_transform(x, k: float):
@@ -206,9 +200,7 @@ def sample_gaussian_copula(rho: float, n: int, rng: RngStream) -> PairSample:
     rho = float(rho)
     if not -1.0 < rho < 1.0:
         raise ValidationError("rho must lie in (-1, 1)")
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or int(n) < 1:
-        raise ValidationError("n must be a positive integer")
-    z = draw_iid(rng, int(n), lambda g, size: g.standard_normal((size, 2)))
+    z = draw_iid(rng, _check_n(n), lambda g, size: g.standard_normal((size, 2)))
     z2 = rho * z[:, 0] + math.sqrt(1.0 - rho * rho) * z[:, 1]
     pairs = np.column_stack([ndtr(z[:, 0]), ndtr(z2)])
     return PairSample(pairs, "gaussian", {"rho": rho}, rng)

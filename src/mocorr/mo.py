@@ -25,12 +25,6 @@ from .errors import ValidationError
 from .rng import RngStream, draw_uniforms, draw_iid
 from .serialize import canonical_json, write_csv
 
-FAMILIES = ("mo", "copula", "d_xi", "limit_gev", "gaussian")
-
-#: Families whose coordinates live on the copula scale [0, 1]^2.
-COPULA_SCALE_FAMILIES = ("copula", "d_xi", "gaussian")
-
-
 @dataclass(frozen=True)
 class MOParams:
     """Shock rates ``(lambda1, lambda2, lambda12)``, all positive and finite."""
@@ -98,7 +92,8 @@ class PairSample:
     ----------
     pairs : (n, 2) ndarray
     family : str
-        One of ``FAMILIES``.
+        A key of :data:`mocorr.families.FAMILY_TABLE`, whose entry gives
+        the coordinate support and whether the pairs are on the copula scale.
     params : dict
         Family parameters, JSON-ready.
     seed : RngStream
@@ -116,18 +111,14 @@ class PairSample:
             raise ValidationError("pairs must be an (n, 2) array")
         if pairs.shape[0] == 0:
             raise ValidationError("pairs must contain at least one row")
-        if self.family not in FAMILIES:
-            raise ValidationError(f"unknown family {self.family!r}")
+        low, high = _family(self.family).support
         # min/max propagate NaN and reach any infinity: one pass each.
         lo, hi = pairs.min(), pairs.max()
         if not (np.isfinite(lo) and np.isfinite(hi)):
             raise ValidationError("pair coordinates must be finite")
-        if self.family in COPULA_SCALE_FAMILIES:
-            if lo < 0.0 or hi > 1.0:
-                raise ValidationError(f"family {self.family!r} lives on [0, 1]^2")
-        elif self.family == "mo":
-            if lo < 0.0:
-                raise ValidationError("shock-model coordinates must be nonnegative")
+        if lo < low or hi > high:
+            raise ValidationError(
+                f"family {self.family!r} has coordinates outside [{low:g}, {high:g}]")
         self.pairs = pairs
 
     @property
@@ -136,7 +127,15 @@ class PairSample:
 
     @property
     def copula_scale(self) -> bool:
-        return self.family in COPULA_SCALE_FAMILIES
+        return _family(self.family).to_copula is None
+
+
+def _family(name: str):
+    # families imports this module, so its table is read at call time.
+    from .families import FAMILY_TABLE
+    if name not in FAMILY_TABLE:
+        raise ValidationError(f"unknown family {name!r}")
+    return FAMILY_TABLE[name]
 
 
 def _broadcast_pair(x1, x2, nonnegative: bool, name: str):

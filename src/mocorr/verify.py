@@ -11,7 +11,7 @@ sample sizes so the whole suite finishes well under a minute.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -308,7 +308,5 @@ def battery_report(results: list[CheckResult], seed: int, quick: bool) -> dict:
         "seed": seed,
         "quick": quick,
         "passed": all(r.passed for r in results),
-        "checks": [
-            {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
-        ],
+        "checks": [asdict(r) for r in results],
     }

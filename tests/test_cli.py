@@ -6,11 +6,13 @@ import sys
 import numpy as np
 import pytest
 
-from mocorr import extremes
-from mocorr.cli import main
+from mocorr import FAMILIES, extremes
+from mocorr.cli import _family_params, build_parser, main
+from mocorr.errors import ValidationError
 from mocorr.families import FAMILY_TABLE
 from mocorr.maxcorr import max_corr_closed, power_corr, PowerIndex
-from mocorr.mo import FAMILIES, CopulaParams, copula_cdf
+from mocorr.mo import CopulaParams, PairSample, copula_cdf
+from mocorr.rng import RngStream
 
 
 def run_cli(capsys, *argv):
@@ -153,7 +155,21 @@ FAMILY_ARGS = {
 
 class TestFamilyTable:
     def test_table_covers_every_family(self):
-        assert set(FAMILY_TABLE) == set(FAMILIES) == set(FAMILY_ARGS)
+        assert set(FAMILY_TABLE) == set(FAMILY_ARGS)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_draw_lies_inside_support(self, family, capsys):
+        record, params = _family_params(build_parser().parse_args(
+            ["maxcorr", "--family", family, *FAMILY_ARGS[family]]))
+        sample = record.sample(params, 20_000, RngStream(6))
+        low, high = record.support
+        assert low <= sample.pairs.min() and sample.pairs.max() <= high
+        for bound, step in ((low, -1.0), (high, 1.0)):
+            if math.isfinite(bound):
+                outside = sample.pairs.copy()
+                outside[0, 0] = np.nextafter(bound, bound + step)
+                with pytest.raises(ValidationError, match="outside"):
+                    PairSample(outside, family, sample.params, sample.seed)
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_every_family_runs_through_each_subcommand(self, family, tmp_path, capsys):
@@ -167,6 +183,14 @@ class TestFamilyTable:
         code, out, err = run_cli(capsys, "maxcorr", *args, "-n", "20000", "--m", "8")
         assert code == 0, err
         assert math.isfinite(json.loads(out)["abs_error"])
+        assert json.loads(out)["family"] == family
+
+    @pytest.mark.parametrize("command", ["variance", "blocksim"])
+    def test_functional_choices_come_from_the_table(self, command):
+        (commands,) = [a for a in build_parser()._actions if a.dest == "command"]
+        (h,) = [a for a in commands.choices[command]._actions if a.dest == "h"]
+        assert h.choices == tuple(name.replace("_", "-")
+                                  for name in extremes.FUNCTIONAL_NAMES)
 
 
 class TestCorr:
@@ -315,6 +339,10 @@ class TestVariance:
          "contradicts"),
         (["--format", "csv", "--blocksim-dist", "exp", "--blocksim-r", "100",
           "--blocksim-blocks", "200"], "no CSV form"),
+        (["--blocksim-dist", "exp", "--blocksim-r", "10", "--blocksim-blocks", "1"],
+         "n_blocks must be >= 2"),
+        (["--blocksim-dist", "exp", "--blocksim-r", "100000", "--blocksim-blocks", "1000"],
+         "exceeds the cap"),
     ])
     def test_blocksim_flags_checked_before_monte_carlo(self, flags, message, capsys,
                                                        monkeypatch):

@@ -142,17 +142,6 @@ class TestFunctionals:
         with pytest.raises(ValidationError):
             Functional("indicator")
 
-    def test_custom_table_interpolates(self):
-        h = Functional.from_table([0.0, 1.0], [1.0, 3.0])
-        assert h.evaluate(0.5) == pytest.approx(2.0)
-        # clamped outside the table, keeping h bounded
-        assert h.evaluate(10.0) == pytest.approx(3.0)
-        assert h.evaluate(-10.0) == pytest.approx(1.0)
-
-    def test_custom_table_validation(self):
-        with pytest.raises(ValidationError):
-            Functional.from_table([0.0, 0.0], [1.0, 2.0])
-
     def test_unknown_name(self):
         with pytest.raises(ValidationError):
             Functional("cube")
@@ -235,9 +224,11 @@ class TestOverlapCovariance:
             limit_pair_corr(Functional.identity(), GEVShape(0.0), ZetaOverlap(0.5),
                             n_mc, RngStream(91))
 
-    @pytest.mark.parametrize("h", [Functional.const(), Functional.indicator(1e6)])
+    @pytest.mark.parametrize("h", [Functional.const(), Functional.indicator(1e6),
+                                   Functional.indicator(4.0)])
     def test_corr_rejects_functional_constant_on_the_draw(self, h):
-        # The correlation divides by a zero standard deviation there.
+        # The correlation divides by a zero standard deviation there; the
+        # 4.0 indicator is constant on one SE chunk only.
         with pytest.raises(EvaluationError, match="zero variance"):
             limit_pair_corr(h, GEVShape(0.0), ZetaOverlap(0.5), 1000, RngStream(92))
 
