@@ -147,12 +147,15 @@ def cmd_maxcorr(args: argparse.Namespace) -> int:
     family, params = _family_params(args)
     sample = family.sample(params, args.n, RngStream(args.seed))
     if family.to_copula is not None:
-        # The estimator expects copula-scale input; bin_pairs checks the
-        # range of the mapped pairs, which keep their family's label.
+        # The estimator expects copula-scale input, which can lie outside
+        # the family's own support (limit_gev with gamma < -1); the
+        # report below keeps the family's name.
         sample = mo.PairSample(pairs=family.to_copula(params, sample.pairs),
-                               family=args.family, params=sample.params, seed=sample.seed)
-    est = maxcorr.estimate_max_corr(sample, m=args.m)
-    _emit(est.to_report(closed_form=family.max_corr(params)), args.out)
+                               family="copula", params=sample.params, seed=sample.seed)
+    report = maxcorr.estimate_max_corr(sample, m=args.m).to_report(
+        closed_form=family.max_corr(params))
+    report["family"] = args.family
+    _emit(report, args.out)
     return 0
 
 

@@ -479,21 +479,39 @@ def _lag_window_estimate(y: np.ndarray, r: int) -> float:
     ``(1/r) * sum_{|k| < r} chat_k`` equals ``(N/r)`` times the
     estimated variance of the sliding mean; trapezoid exactness over the
     overlap grid makes it a consistent estimate of the overlap integral.
+
+    With ``yc`` the centered series and ``w_t = sum_{j=t}^{min(t+r-1, n-1)}
+    yc_j``, ``chat_0 + 2 * sum_{k=1}^{r-1} chat_k = (2 yc.w - yc.yc) / n``,
+    so one cumsum gives it in O(n) time and memory.  It is summed as
+    ``yc.(yc + 2 v) / n`` with ``v = w - yc``: at ``r = 1`` the window
+    ``v`` is exactly 0 and the result is ``np.var(y)``.
     """
     n = y.size
     yc = y - y.mean()
-    size = 1 << int(np.ceil(np.log2(2 * n)))
-    spectrum = np.fft.rfft(yc, size)
-    acov = np.fft.irfft(spectrum * np.conj(spectrum), size)[:r] / n
-    return float((acov[0] + 2.0 * acov[1:].sum()) / r)
+    # c[i] = sum_{j<i} yc_j, held at its total past i = n, so that
+    # v_t = sum_{j=t+1}^{min(t+r-1, n-1)} yc_j = c[t+r] - c[t+1].
+    c = np.empty(n + r)
+    c[0] = 0.0
+    np.cumsum(yc, out=c[1:n + 1])
+    c[n + 1:] = c[n]
+    v = c[r:r + n] - c[1:n + 1]
+    v *= 2.0
+    v += yc
+    v *= yc
+    return float(v.sum() / n / r)
 
 
 @dataclass(frozen=True)
 class BlockSimResult:
-    """One block-maxima simulation estimate with a resampled SE."""
+    """One block-maxima simulation estimate with a resampled SE.
+
+    ``segments`` is the number of disjoint segments behind ``se``; ``se``
+    is NaN (null in a report) exactly when it is below 2.
+    """
 
     estimate: float
     se: float
+    segments: int
     mode: str
     dist: str
     alpha: float | None
@@ -518,9 +536,12 @@ def block_maxima_simulate(dist: str, r: int, n_blocks: int, mode: str,
     normalized disjoint block maxima, estimating the disjoint-blocks
     variance.  ``sliding``: the lag-window long-run variance of ``h``
     over all sliding-window maxima (the variance of the sliding mean,
-    scaled back by blocks), estimating the sliding-blocks variance.
-    Standard errors come from re-running the estimator on disjoint
-    segments of the same sequence.
+    scaled back by blocks), estimating the sliding-blocks variance.  The
+    lag-window sum ``chat_0 + 2 * sum_{k<r} chat_k`` is
+    ``(2 yc.w - yc.yc) / n`` with ``w`` the forward window sums of the
+    centered series ``yc``, a difference of one cumsum, so the sliding
+    estimate costs O(n).  Standard errors come from re-running the
+    estimator on up to 20 disjoint segments of the same sequence.
     """
     if rng is None:
         raise ValidationError("block_maxima_simulate requires an RngStream")
@@ -551,6 +572,7 @@ def block_maxima_simulate(dist: str, r: int, n_blocks: int, mode: str,
     return BlockSimResult(
         estimate=estimate,
         se=se,
+        segments=k,
         mode=mode,
         dist=dist,
         alpha=None if dist != "pareto" else float(alpha),

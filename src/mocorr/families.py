@@ -28,8 +28,9 @@ class Family:
     ``args`` holds one ``(name, help, *aliases)`` entry per parameter,
     read from the CLI flags ``--name`` and ``--alias``; ``params(*values)``
     takes their values in order; ``sample(p, n, stream)``, ``cdf(p, x, y)``, ``max_corr(p)``
-    and ``as_dict(p)`` take the params it returns.  ``support`` is the
-    closed interval ``(low, high)`` holding every drawn coordinate.
+    and ``as_dict(p)`` take the params it returns.  ``support(d)`` takes
+    the ``as_dict`` form and returns the closed interval ``(low, high)``
+    holding every drawn coordinate.
     ``to_copula(p, pairs)`` maps an ``(n, 2)`` draw onto [0, 1]^2
     through the margins, and is ``None`` for families already there.
     """
@@ -40,7 +41,7 @@ class Family:
     sample: Callable
     cdf: Callable
     max_corr: Callable
-    support: tuple[float, float]
+    support: Callable
     to_copula: Callable | None = None
 
 
@@ -50,7 +51,18 @@ def _rho(rho: float) -> float:
     return rho
 
 
-_UNIT = (0.0, 1.0)
+def _unit(d: dict) -> tuple[float, float]:
+    return 0.0, 1.0
+
+
+def _gev_support(d: dict) -> tuple[float, float]:
+    if "gamma" not in d:
+        raise ValidationError("limit_gev pairs need their params' gamma")
+    gamma = d["gamma"]
+    if gamma == 0.0:
+        return -math.inf, math.inf
+    return (-1.0 / gamma, math.inf) if gamma > 0.0 else (-math.inf, -1.0 / gamma)
+
 
 FAMILY_TABLE = {
     "mo": Family(
@@ -60,7 +72,7 @@ FAMILY_TABLE = {
         mo.MOParams, lambda p: p.as_dict(),
         lambda p, n, s: mo.sample_mo(p, n, s),
         lambda p, x, y: mo.mo_cdf(p, x, y),
-        lambda p: maxcorr.max_corr_from_rates(p), (0.0, math.inf),
+        lambda p: maxcorr.max_corr_from_rates(p), lambda d: (0.0, math.inf),
         lambda p, pairs: np.column_stack([
             mo.mo_marginal_survival(p, 1, pairs[:, 0]),
             mo.mo_marginal_survival(p, 2, pairs[:, 1]),
@@ -70,19 +82,19 @@ FAMILY_TABLE = {
         mo.CopulaParams, lambda c: c.as_dict(),
         lambda c, n, s: mo.sample_copula(c, n, s),
         lambda c, u, v: mo.copula_cdf(c, u, v),
-        lambda c: maxcorr.max_corr_closed(c), _UNIT),
+        lambda c: maxcorr.max_corr_closed(c), _unit),
     "d_xi": Family(
         (("xi", "section family parameter"),), mo.DXiParam, lambda d: d.as_dict(),
         lambda d, n, s: mo.sample_d_xi(d, n, s),
         lambda d, u, v: mo.d_xi_cdf(d, u, v),
-        lambda d: maxcorr.d_xi_max_corr(d), _UNIT),
+        lambda d: maxcorr.d_xi_max_corr(d), _unit),
     "limit_gev": Family(
         (("zeta", "block overlap fraction"), ("gamma", "GEV shape")),
         lambda zeta, gamma: (extremes.ZetaOverlap(zeta), extremes.GEVShape(gamma)),
         lambda p: {"zeta": p[0].zeta, "gamma": p[1].gamma},
         lambda p, n, s: extremes.sample_limit_pair(*p, n, s),
         lambda p, x, y: extremes.limit_copula_cdf(*p, x, y),
-        lambda p: 1.0 - p[0].zeta, (-math.inf, math.inf),
+        lambda p: 1.0 - p[0].zeta, _gev_support,
         lambda p, pairs: np.column_stack([
             extremes.gev_cdf(p[1], pairs[:, 0]),
             extremes.gev_cdf(p[1], pairs[:, 1]),
@@ -91,5 +103,5 @@ FAMILY_TABLE = {
         (("rho", "correlation"),), _rho, lambda rho: {"rho": rho},
         lambda rho, n, s: maxcorr.sample_gaussian_copula(rho, n, s),
         lambda rho, u, v: maxcorr.gaussian_copula_cdf(rho, u, v),
-        abs, _UNIT),
+        abs, _unit),
 }

@@ -111,7 +111,7 @@ class PairSample:
             raise ValidationError("pairs must be an (n, 2) array")
         if pairs.shape[0] == 0:
             raise ValidationError("pairs must contain at least one row")
-        low, high = _family(self.family).support
+        low, high = _family(self.family).support(self.params)
         # min/max propagate NaN and reach any infinity: one pass each.
         lo, hi = pairs.min(), pairs.max()
         if not (np.isfinite(lo) and np.isfinite(hi)):

@@ -162,7 +162,7 @@ class TestFamilyTable:
         record, params = _family_params(build_parser().parse_args(
             ["maxcorr", "--family", family, *FAMILY_ARGS[family]]))
         sample = record.sample(params, 20_000, RngStream(6))
-        low, high = record.support
+        low, high = record.support(sample.params)
         assert low <= sample.pairs.min() and sample.pairs.max() <= high
         for bound, step in ((low, -1.0), (high, 1.0)):
             if math.isfinite(bound):
@@ -170,6 +170,17 @@ class TestFamilyTable:
                 outside[0, 0] = np.nextafter(bound, bound + step)
                 with pytest.raises(ValidationError, match="outside"):
                     PairSample(outside, family, sample.params, sample.seed)
+
+    @pytest.mark.parametrize("gamma", ["-0.5", "0", "0.2"])
+    def test_limit_gev_sample_inside_gamma_support(self, gamma, tmp_path, capsys):
+        path = tmp_path / "s.csv"
+        code, _, err = run_cli(capsys, "sample", "--family", "limit_gev", "--zeta", "0.3",
+                               "--gamma", gamma, "-n", "20000", "--seed", "8",
+                               "--out", str(path))
+        assert code == 0, err
+        pairs = np.loadtxt(path, delimiter=",", skiprows=1)
+        low, high = FAMILY_TABLE["limit_gev"].support({"gamma": float(gamma)})
+        assert low <= pairs.min() and pairs.max() <= high
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_every_family_runs_through_each_subcommand(self, family, tmp_path, capsys):
@@ -255,6 +266,16 @@ class TestMaxcorr:
         assert payload["closed_form"] == 0.5
         assert abs(payload["estimate"] - 0.5) < 0.02
 
+    def test_limit_gev_below_minus_one_maps_outside_its_support(self, capsys):
+        # The copula-scale pairs reach 1, past the upper endpoint 2/3.
+        code, out, err = run_cli(
+            capsys, "maxcorr", "--family", "limit_gev", "--zeta", "0.3",
+            "--gamma", "-1.5", "-n", "20000", "--m", "8", "--seed", "3")
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["family"] == "limit_gev"
+        assert payload["params"] == {"zeta": 0.3, "gamma": -1.5}
+
     def test_insufficient_sample(self, capsys):
         code, _, err = run_cli(
             capsys, "maxcorr", "--family", "copula", "--phi", "0.5", "--psi",
@@ -322,6 +343,8 @@ class TestVariance:
         sim = payload["block_simulation"]
         assert set(sim) == {"disjoint", "sliding"}
         assert abs(sim["disjoint"]["estimate"] - payload["sigma2_db"]) < 0.5
+        # 400 blocks: 20 disjoint segments; 39,901 sliding maxima: 20 too.
+        assert sim["disjoint"]["segments"] == sim["sliding"]["segments"] == 20
 
     def test_blocksim_shape_contradiction(self, capsys):
         code, _, err = run_cli(
@@ -377,6 +400,33 @@ class TestBlocksim:
         assert set(payload) == {"disjoint", "sliding", "ratio"}
         assert payload["ratio"] == pytest.approx(
             payload["sliding"]["estimate"] / payload["disjoint"]["estimate"])
+
+    @pytest.mark.parametrize("n_blocks", ["2", "3"])
+    def test_se_null_exactly_below_two_segments(self, n_blocks, capsys):
+        code, out, _ = run_cli(
+            capsys, "blocksim", "--dist", "exp", "--r", "5", "--n-blocks",
+            n_blocks, "--mode", "both")
+        assert code == 0
+        payload = json.loads(out)
+        for mode in ("disjoint", "sliding"):
+            assert payload[mode]["segments"] < 2
+            assert payload[mode]["se"] is None
+        code, out, _ = run_cli(
+            capsys, "blocksim", "--dist", "exp", "--r", "5", "--n-blocks",
+            "40", "--mode", "both")
+        payload = json.loads(out)
+        for mode in ("disjoint", "sliding"):
+            assert payload[mode]["segments"] >= 2
+            assert math.isfinite(payload[mode]["se"])
+
+    def test_ratio_null_when_disjoint_estimate_zero(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "blocksim", "--dist", "exp", "--r", "5", "--n-blocks",
+            "40", "--mode", "both", "--h", "const")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["disjoint"]["estimate"] == 0.0
+        assert payload["ratio"] is None
 
     def test_pareto_identity_divergent(self, capsys):
         code, _, err = run_cli(

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mocorr.errors import DivergentMomentError, EvaluationError, ValidationError
+from mocorr import extremes
 from mocorr.extremes import (
     DEFAULT_ZETA_QUAD,
     DISTRIBUTIONS,
@@ -31,7 +32,7 @@ from mocorr.extremes import (
 from mocorr.maxcorr import estimate_max_corr
 from mocorr.mo import PairSample
 from mocorr.numerics import QuadratureSpec, ecdf_ks
-from mocorr.rng import RngStream
+from mocorr.rng import RngStream, draw_iid
 
 GUMBEL_VAR = math.pi ** 2 / 6.0
 
@@ -118,6 +119,22 @@ class TestSampleLimitPair:
         copula_scale = PairSample(u, "copula", {"phi": 0.5, "psi": 0.5}, s.seed)
         est = estimate_max_corr(copula_scale, m=64)
         assert abs(est.value - 0.5) < 0.02
+
+    def test_support_follows_gamma(self):
+        params = {"zeta": 0.3, "gamma": 0.2}
+        with pytest.raises(ValidationError, match="outside"):
+            PairSample(np.array([[-10.0, 0.0]]), "limit_gev", params)
+        # The endpoint -1/gamma is in the support; one ulp beyond it is not.
+        for gamma, step in ((0.2, -1.0), (-0.2, 1.0)):
+            params = {"zeta": 0.3, "gamma": gamma}
+            endpoint = -1.0 / gamma
+            PairSample(np.array([[endpoint, 0.0]]), "limit_gev", params)
+            beyond = np.nextafter(endpoint, endpoint + step)
+            with pytest.raises(ValidationError, match="outside"):
+                PairSample(np.array([[0.0, beyond]]), "limit_gev", params)
+        PairSample(np.array([[-1e300, 1e300]]), "limit_gev", {"zeta": 0.3, "gamma": 0.0})
+        with pytest.raises(ValidationError, match="gamma"):
+            PairSample(np.array([[0.0, 0.0]]), "limit_gev")
 
 
 class TestFunctionals:
@@ -326,6 +343,67 @@ class TestSlidingMax:
             sliding_max(np.zeros(5), 6)
 
 
+def _fft_lag_window(y, r):
+    """The lag-window estimate through the FFT autocovariance: the oracle."""
+    n = y.size
+    yc = y - y.mean()
+    size = 1 << int(np.ceil(np.log2(2 * n)))
+    spectrum = np.fft.rfft(yc, size)
+    acov = np.fft.irfft(spectrum * np.conj(spectrum), size)[:r] / n
+    return float((acov[0] + 2.0 * acov[1:].sum()) / r)
+
+
+def _sliding_values(r, n_blocks, seed):
+    """The series block_maxima_simulate('exp', r, n_blocks, 'sliding',
+    identity) estimates from, drawn from the same stream."""
+    x = draw_iid(RngStream(seed), r * n_blocks,
+                 lambda gen, size: extremes._BASE["exp"][0](gen, size, None))
+    return sliding_max(x, r) - math.log(r)
+
+
+class TestLagWindow:
+    # Round-off bound relative to acov[0]; absolute, since at r = n the
+    # true value is 0 and both forms return round-off there.
+    TOL = 1e-12
+
+    @pytest.fixture(scope="class")
+    def series(self):
+        x = RngStream(104).generator().standard_exponential(200_000 + 99)
+        return sliding_max(x, 100) - math.log(100)
+
+    @pytest.mark.parametrize("r", ["1", "2", "n/2", "n"])
+    def test_matches_fft_oracle(self, series, r):
+        n = series.size
+        r = {"1": 1, "2": 2, "n/2": n // 2, "n": n}[r]
+        new = extremes._lag_window_estimate(series, r)
+        assert abs(new - _fft_lag_window(series, r)) <= self.TOL * np.var(series)
+
+    def test_window_one_is_the_variance(self, series):
+        var = np.var(series)
+        assert abs(extremes._lag_window_estimate(series, 1) - var) <= 1e-15 * var
+
+    def test_every_short_length_matches_fft_oracle(self):
+        y = RngStream(105).generator().standard_exponential(7)
+        for n in range(2, 8):
+            for r in range(1, n + 1):
+                new = extremes._lag_window_estimate(y[:n], r)
+                assert abs(new - _fft_lag_window(y[:n], r)) <= self.TOL * np.var(y[:n])
+
+    def test_simulation_segments_match_fft_oracle(self):
+        r, n_blocks = 100, 2000
+        result = block_maxima_simulate("exp", r, n_blocks, "sliding",
+                                       Functional.identity(), RngStream(106))
+        values = _sliding_values(r, n_blocks, 106)
+        assert extremes._lag_window_estimate(values, r) == result.estimate
+        segments = np.array_split(values, result.segments)
+        assert len({seg.size for seg in segments}) == 2
+        parts = []
+        for seg in segments:
+            parts.append(extremes._lag_window_estimate(seg, r))
+            assert abs(parts[-1] - _fft_lag_window(seg, r)) <= self.TOL * np.var(seg)
+        assert np.std(parts, ddof=1) / math.sqrt(len(parts)) == result.se
+
+
 class TestBlockSimulation:
     def test_unit_block_uniform_variance(self):
         result = block_maxima_simulate("uniform", 1, 50_000, "disjoint",
@@ -371,3 +449,17 @@ class TestBlockSimulation:
         assert payload["gamma"] == pytest.approx(0.125)
         assert payload["h"]["name"] == "log_transform"
         assert payload["seed"] == {"seed": 103, "stream_id": 0}
+
+    @pytest.mark.parametrize("mode", ["disjoint", "sliding"])
+    @pytest.mark.parametrize("r", [1, 5])
+    def test_se_null_exactly_below_two_segments(self, mode, r):
+        for n_blocks in (2, 3):
+            result = block_maxima_simulate("exp", r, n_blocks, mode,
+                                           Functional.identity(), RngStream(107))
+            assert result.segments < 2
+            assert math.isnan(result.se)
+            assert result.to_report()["segments"] == result.segments
+        result = block_maxima_simulate("exp", r, 40, mode,
+                                       Functional.identity(), RngStream(107))
+        assert result.segments >= 2
+        assert math.isfinite(result.se)
