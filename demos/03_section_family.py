@@ -1,6 +1,7 @@
 """The one-parameter section family and its square-root law.
 
-D_xi(u, v) = u^(1-xi) * min(u^xi, v) has maximal correlation sqrt(xi).
+D_xi(u, v) = u^(1-xi) * min(u^xi, v) is the survival copula at
+(phi, psi) = (xi, 1), so its maximal correlation is sqrt(xi).
 The estimator sees it, the closed-form correlation curve climbs to it,
 and the family obeys a multiplicativity law in xi.
 
@@ -11,10 +12,11 @@ import math
 
 from mocorr import (
     DXiParam,
+    PowerIndex,
     RngStream,
-    d_xi_corr,
-    d_xi_max_corr,
     estimate_max_corr,
+    max_corr_closed,
+    power_corr,
     sample_d_xi,
 )
 
@@ -23,8 +25,8 @@ root = RngStream(20260803)
 print("closed-form correlation of (f_{k*xi}(S), f_k(T)) at xi = 0.5:")
 d = DXiParam(0.5)
 for k in (0.0, 1.0, 10.0, 100.0, 10_000.0):
-    print(f"  k={k:<8g} corr={d_xi_corr(d, k):.10f}")
-print(f"  limit:      {d_xi_max_corr(d):.10f}  (= sqrt(0.5))\n")
+    print(f"  k={k:<8g} corr={power_corr(d.copula, PowerIndex(k * d.xi, k)):.10f}")
+print(f"  limit:      {max_corr_closed(d.copula):.10f}  (= sqrt(0.5))\n")
 
 print("binned spectral estimates vs sqrt(xi) at n=300000, m=48:")
 print("xi        estimate   target     |error|")

@@ -37,8 +37,6 @@ from .families import FAMILY_TABLE
 from .maxcorr import (
     MaxCorrEstimate,
     PowerIndex,
-    d_xi_corr,
-    d_xi_max_corr,
     estimate_max_corr,
     gaussian_copula_cdf,
     gaussian_oracle,
@@ -56,7 +54,6 @@ from .mo import (
     MOParams,
     PairSample,
     copula_cdf,
-    d_xi_cdf,
     max_stability_defect,
     mo_cdf,
     mo_marginal_survival,
@@ -109,9 +106,6 @@ __all__ = [
     "block_maxima_simulate",
     "check_moments",
     "copula_cdf",
-    "d_xi_cdf",
-    "d_xi_corr",
-    "d_xi_max_corr",
     "doa_scaling",
     "ecdf_ks",
     "estimate_max_corr",

@@ -107,7 +107,7 @@ def _safe_levels(u: np.ndarray) -> np.ndarray:
 def _limit_pair(g: GEVShape, zeta: float, xyz: np.ndarray):
     """Overlap-limit pair ``(Y1, Y2)`` at ``zeta`` from ``(n, 3)`` uniforms."""
     phi = 1.0 - zeta
-    u, v = copula_pair_from_uniforms(xyz[:, 0], xyz[:, 1], xyz[:, 2], phi, phi)
+    u, v = copula_pair_from_uniforms(*xyz.T, phi, phi)
     return gev_quantile(g, _safe_levels(u)), gev_quantile(g, _safe_levels(v))
 
 
@@ -251,6 +251,12 @@ class VarianceReport:
         if not self.degenerate and (self.sigma2_db < 0 or self.sigma2_sb < -1e-12):
             raise ValidationError("variances must be nonnegative")
 
+    @property
+    def inequality_excess(self) -> float:
+        """``sb - db - 3*sqrt(sb_se^2 + db_se^2)``: > 0 fails the inequality."""
+        slack = 3.0 * math.sqrt(self.sigma2_sb_se ** 2 + self.sigma2_db_se ** 2)
+        return self.sigma2_sb - self.sigma2_db - slack
+
     def to_report(self) -> dict:
         out = asdict(self)
         out.update(method="quadrature_mc", block_size=None, per_zeta=[
@@ -384,12 +390,16 @@ def indicator_cov_exact(z: ZetaOverlap, g: GEVShape, threshold: float) -> float:
     return float(both_above - p * p)
 
 
-def sigma2_sb_indicator_exact(g: GEVShape, threshold: float,
-                              zeta_quad: QuadratureSpec = DEFAULT_ZETA_QUAD) -> float:
-    """Deterministic sliding-blocks variance for an indicator functional."""
-    nodes, weights = zeta_quad.axis_nodes()
-    vals = np.array([indicator_cov_exact(ZetaOverlap(float(z)), g, threshold) for z in nodes])
-    return float(2.0 * (weights @ vals))
+def sigma2_sb_indicator_exact(g: GEVShape, threshold: float) -> float:
+    """Closed-form sliding-blocks variance for an indicator functional.
+
+    ``2 * int_0^1 (G**(1+zeta) - G**2) dzeta = 2*(G*(G-1)/log(G) - G**2)``
+    with ``G = gev_cdf(g, threshold)``; 0 at ``G`` in {0, 1}.
+    """
+    G = gev_cdf(g, threshold)
+    if G <= 0.0 or G >= 1.0:
+        return 0.0
+    return 2.0 * (G * (G - 1.0) / math.log(G) - G * G)
 
 
 # ---------------------------------------------------------------------------

@@ -86,8 +86,8 @@ FAMILY_TABLE = {
     "d_xi": Family(
         (("xi", "section family parameter"),), mo.DXiParam, lambda d: d.as_dict(),
         lambda d, n, s: mo.sample_d_xi(d, n, s),
-        lambda d, u, v: mo.d_xi_cdf(d, u, v),
-        lambda d: maxcorr.d_xi_max_corr(d), _unit),
+        lambda d, u, v: mo.copula_cdf(d.copula, u, v),
+        lambda d: maxcorr.max_corr_closed(d.copula), _unit),
     "limit_gev": Family(
         (("zeta", "block overlap fraction"), ("gamma", "GEV shape")),
         lambda zeta, gamma: (extremes.ZetaOverlap(zeta), extremes.GEVShape(gamma)),

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .mo import CopulaParams, DXiParam, MOParams, PairSample, _check_n
+from .mo import CopulaParams, MOParams, PairSample, _check_n
 from .numerics import bin_pairs, second_singular_value
 from .rng import RngStream, draw_iid
 
@@ -102,28 +102,14 @@ def power_corr(c: CopulaParams, idx: PowerIndex) -> float:
     Closed form
     ``phi*psi*sqrt((2k+3)(2l+3)) / ((k+2)psi + (l+2)phi - phi*psi)``.
     With ``k = phi*m`` and ``l = psi*m`` this increases to
-    ``sqrt(phi*psi)`` as ``m`` grows.
+    ``sqrt(phi*psi)`` as ``m`` grows; the section family, at
+    ``(xi, 1)`` with ``(k*xi, k)``, gives ``sqrt(xi)`` in the limit.
     """
     k, ell = idx.k, idx.ell
     if c.phi == 0.0 or c.psi == 0.0:
         return 0.0
     num = c.phi * c.psi * math.sqrt((2.0 * k + 3.0) * (2.0 * ell + 3.0))
     return num / ((k + 2.0) * c.psi + (ell + 2.0) * c.phi - c.phi * c.psi)
-
-
-def d_xi_corr(d: DXiParam, k: float) -> float:
-    """Correlation of ``(f_{k*xi}(S), f_k(T))`` for a section-family pair.
-
-    Closed form ``xi*sqrt((2k+3)(2k*xi+3)) / (2k*xi + xi + 2)``; tends
-    to ``sqrt(xi)`` as ``k`` grows.  The larger index sits on the second
-    coordinate: Cov(f_a(S), f_b(T)) = xi/((a+2)(b+2)(a+2+xi*(b+1))),
-    and only a = k*xi, b = k puts the denominator in the stated form.
-    """
-    k = float(k)
-    if not math.isfinite(k) or k < 0:
-        raise ValidationError("k must be nonnegative and finite")
-    xi = d.xi
-    return xi * math.sqrt((2.0 * k + 3.0) * (2.0 * k * xi + 3.0)) / (2.0 * k * xi + xi + 2.0)
 
 
 def max_corr_closed(c: CopulaParams) -> float:
@@ -140,11 +126,6 @@ def max_corr_from_rates(p: MOParams) -> float:
     return p.lambda12 / (
         math.sqrt(p.lambda1 + p.lambda12) * math.sqrt(p.lambda2 + p.lambda12)
     )
-
-
-def d_xi_max_corr(d: DXiParam) -> float:
-    """Maximal correlation of the section family: ``sqrt(xi)``."""
-    return math.sqrt(d.xi)
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,10 @@ diagonal ``{x1 = x2}`` with mass ``lambda12 / (lambda1 + lambda2 + lambda12)``.
 On the copula scale the dependence is
 ``C(u, v) = min(u**(1 - phi) * v, u * v**(1 - psi))`` with
 ``phi = lambda12 / (lambda1 + lambda12)`` and
-``psi = lambda12 / (lambda2 + lambda12)``.  A one-parameter section
-``D(u, v) = u**(1 - xi) * min(u**xi, v)`` couples a uniform directly to
-the shared component and is handy as a calibration family.
+``psi = lambda12 / (lambda2 + lambda12)``.  The one-parameter section
+``D(u, v) = u**(1 - xi) * min(u**xi, v)`` is the copula at
+``(phi, psi) = (xi, 1)``: it couples a uniform directly to the shared
+component and is handy as a calibration family.
 """
 
 from __future__ import annotations
@@ -79,6 +80,11 @@ class DXiParam:
         if not math.isfinite(value) or not 0.0 < value <= 1.0:
             raise ValidationError("xi must lie in (0, 1]")
         object.__setattr__(self, "xi", value)
+
+    @property
+    def copula(self) -> CopulaParams:
+        """The same law as a survival copula: ``D_xi = C_{xi,1}``."""
+        return CopulaParams(self.xi, 1.0)
 
     def as_dict(self) -> dict:
         return {"xi": self.xi}
@@ -208,13 +214,6 @@ def copula_cdf(c: CopulaParams, u, v):
     return out if out.ndim else float(out)
 
 
-def d_xi_cdf(d: DXiParam, u, v):
-    """Section cdf ``u**(1 - xi) * min(u**xi, v)``."""
-    a, b = _unit_pair(u, v)
-    out = a ** (1.0 - d.xi) * np.minimum(a ** d.xi, b)
-    return out if out.ndim else float(out)
-
-
 def perturbed_copula_cdf(c: CopulaParams, eps: float):
     """A deliberately broken copula: adds ``eps * u(1-u)v(1-v)``.
 
@@ -254,49 +253,39 @@ def sample_mo(p: MOParams, n: int, rng: RngStream) -> PairSample:
     return PairSample(pairs, "mo", p.as_dict(), rng)
 
 
+def _section(x, z, xi: float):
+    """Section draw ``max(x**(1/(1-xi)), z**(1/xi))``: with ``z`` it follows ``C_{xi,1}``.
+
+    The exponent limits are ``x`` at ``xi = 0`` and ``z`` at ``xi = 1``.
+    """
+    if xi <= 0.0:
+        return x
+    if xi >= 1.0:
+        return z
+    return np.maximum(x ** (1.0 / (1.0 - xi)), z ** (1.0 / xi))
+
+
 def copula_pair_from_uniforms(x, y, z, phi: float, psi: float):
     """Deterministic map from three U(0,1) draws to one copula pair.
 
-    ``U = max(x**(1/(1-phi)), z**(1/phi))`` and symmetrically for ``V``;
-    the exponent limits give ``U = x`` at ``phi = 0`` (no shared shock)
-    and ``U = z`` at ``phi = 1`` (pure shared shock).
+    ``U`` and ``V`` are section draws sharing ``z``, so they are
+    independent given the shared shock.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
-    if phi <= 0.0:
-        u = x
-    elif phi >= 1.0:
-        u = z
-    else:
-        u = np.maximum(x ** (1.0 / (1.0 - phi)), z ** (1.0 / phi))
-    if psi <= 0.0:
-        v = y
-    elif psi >= 1.0:
-        v = z
-    else:
-        v = np.maximum(y ** (1.0 / (1.0 - psi)), z ** (1.0 / psi))
-    return u, v
+    return (_section(np.asarray(x, dtype=float), z, phi),
+            _section(np.asarray(y, dtype=float), z, psi))
 
 
 def sample_copula(c: CopulaParams, n: int, rng: RngStream) -> PairSample:
     """Draw ``n`` pairs from the survival copula, exactly (no inversion)."""
-    n = _check_n(n)
-    xyz = draw_uniforms(rng, n, 3)
-    u, v = copula_pair_from_uniforms(xyz[:, 0], xyz[:, 1], xyz[:, 2], c.phi, c.psi)
+    u, v = copula_pair_from_uniforms(*draw_uniforms(rng, _check_n(n), 3).T, c.phi, c.psi)
     return PairSample(np.column_stack([u, v]), "copula", c.as_dict(), rng)
 
 
 def sample_d_xi(d: DXiParam, n: int, rng: RngStream) -> PairSample:
-    """Draw ``n`` pairs from the one-parameter section family."""
-    n = _check_n(n)
-    xz = draw_uniforms(rng, n, 2)
-    x, z = xz[:, 0], xz[:, 1]
-    if d.xi >= 1.0:
-        s = z
-    else:
-        s = np.maximum(x ** (1.0 / (1.0 - d.xi)), z ** (1.0 / d.xi))
-    return PairSample(np.column_stack([s, z]), "d_xi", d.as_dict(), rng)
+    """Draw ``n`` pairs from the section family: a section draw and its ``z``."""
+    x, z = draw_uniforms(rng, _check_n(n), 2).T
+    return PairSample(np.column_stack([_section(x, z, d.xi), z]), "d_xi", d.as_dict(), rng)
 
 
 # ---------------------------------------------------------------------------

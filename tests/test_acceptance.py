@@ -24,8 +24,6 @@ from mocorr.extremes import (
 )
 from mocorr.maxcorr import (
     PowerIndex,
-    d_xi_corr,
-    d_xi_max_corr,
     estimate_max_corr,
     gaussian_copula_cdf,
     gaussian_oracle,
@@ -41,7 +39,6 @@ from mocorr.mo import (
     DXiParam,
     MOParams,
     copula_cdf,
-    d_xi_cdf,
     max_stability_defect,
     mo_cdf,
     mo_to_copula,
@@ -154,13 +151,13 @@ def criterion_4() -> dict:
     for i in range(1, 10):
         xi = i / 10.0
         d = DXiParam(xi)
-        limit_err = abs(d_xi_corr(d, 1e6) - math.sqrt(xi))
+        limit_err = abs(power_corr(d.copula, PowerIndex(1e6 * xi, 1e6)) - math.sqrt(xi))
 
         s = sample_d_xi(d, 1_000_000, root.child(i))
         a = power_transform(s.pairs[:, 0], 5.0 * xi)
         b = power_transform(s.pairs[:, 1], 5.0)
         mc, se = _chunked_corr(a, b)
-        closed = d_xi_corr(d, 5.0)
+        closed = power_corr(d.copula, PowerIndex(5.0 * xi, 5.0))
         mc_sigmas = abs(mc - closed) / se
 
         worst_limit = max(worst_limit, limit_err)
@@ -181,7 +178,7 @@ def criterion_5() -> dict:
         d = DXiParam(xi)
         s = sample_d_xi(d, 1_000_000, root.child(i))
         est = estimate_max_corr(s, m=64)
-        target = d_xi_max_corr(d)
+        target = max_corr_closed(d.copula)
         cases.append({"xi": xi, "target": target, "estimate": est.value,
                       "abs_error": abs(est.value - target)})
     # the dyadic point pins the quarter power explicitly
@@ -278,7 +275,7 @@ def criterion_9() -> dict:
 
         d = DXiParam(float(gen.uniform(0.05, 0.95)))
         s = sample_d_xi(d, n, root.child(30 + i))
-        record("d_xi", d.as_dict(), ecdf_ks(s, lambda u, v: d_xi_cdf(d, u, v)))
+        record("d_xi", d.as_dict(), ecdf_ks(s, lambda u, v: copula_cdf(d.copula, u, v)))
 
         z = ZetaOverlap(float(gen.uniform(0.0, 1.0)))
         g = GEVShape(float(gen.uniform(-0.5, 1.0)))

@@ -196,6 +196,36 @@ class TestFamilyTable:
         assert math.isfinite(json.loads(out)["abs_error"])
         assert json.loads(out)["family"] == family
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("command", ["sample", "cdf-eval", "maxcorr"])
+    def test_other_family_flag_refused(self, family, command, tmp_path, capsys):
+        other = next(f for f in FAMILY_ARGS if f != family)
+        flag, value = FAMILY_ARGS[other][:2]
+        size = ["-n", "10"] if command == "sample" else []
+        code, out, err = run_cli(capsys, command, "--family", family, *FAMILY_ARGS[family],
+                                 flag, value, *size, "--out", str(tmp_path / "x.csv"))
+        assert code == 1
+        assert out == ""
+        assert not (tmp_path / "x.csv").exists()
+        name = next(n for n, *aliases in FAMILY_TABLE[other].args
+                    if flag.lstrip("-") in (n, *aliases))
+        assert f"--{name} does not apply to --family {family}" in err
+
+    def test_copula_maxcorr_refuses_xi(self, capsys):
+        code, _, err = run_cli(capsys, "maxcorr", "--family", "copula", "--phi", "0.3",
+                               "--psi", "0.7", "--xi", "0.2", "-n", "20000", "--m", "8")
+        assert code == 1
+        assert "--xi does not apply" in err
+
+    def test_own_flags_and_aliases_accepted(self, capsys):
+        for rates in (["--lam1", "1", "--lam2", "2", "--lam12", "1.5"],
+                      ["--l1", "1", "--lam2", "2", "--l12", "1.5"]):
+            code, out, err = run_cli(capsys, "cdf-eval", "--family", "mo", *rates,
+                                     "--at", "0.5", "0.5")
+            assert code == 0, err
+            assert json.loads(out)["params"] == {"lambda1": 1.0, "lambda2": 2.0,
+                                                 "lambda12": 1.5}
+
     @pytest.mark.parametrize("command", ["variance", "blocksim"])
     def test_functional_choices_come_from_the_table(self, command):
         (commands,) = [a for a in build_parser()._actions if a.dest == "command"]
@@ -227,6 +257,21 @@ class TestCorr:
         payload = json.loads(out)
         assert payload["corr"] == pytest.approx(0.6, abs=1e-15)
         assert payload["max_corr"] == pytest.approx(math.sqrt(0.5), abs=1e-15)
+        assert sorted(payload) == ["corr", "family", "gap", "k", "max_corr", "params"]
+
+    @pytest.mark.parametrize("extra", [["--ell", "7"], ["--phi", "0.3"], ["--psi", "0.3"]])
+    def test_d_xi_refuses_copula_flags(self, extra, capsys):
+        code, out, err = run_cli(capsys, "corr", "--family", "d_xi", "--xi", "0.5",
+                                 "--k", "1", *extra)
+        assert code == 1
+        assert out == ""
+        assert f"{extra[0]} does not apply to --family d_xi" in err
+
+    def test_copula_refuses_xi(self, capsys):
+        code, out, err = run_cli(capsys, "corr", "--family", "copula", "--phi", "0.3",
+                                 "--psi", "0.7", "--k", "1", "--xi", "0.5")
+        assert code == 1
+        assert "--xi does not apply to --family copula" in err
 
     def test_out_file(self, tmp_path, capsys):
         p = tmp_path / "corr.json"

@@ -267,8 +267,33 @@ class TestSlidingVariance:
         g, t = GEVShape(0.5), 1.2
         report = sigma2_sb(Functional.indicator(t), g, FAST_ZETA_QUAD,
                            150_000, RngStream(91))
-        exact = sigma2_sb_indicator_exact(g, t, FAST_ZETA_QUAD)
+        exact = sigma2_sb_indicator_exact(g, t)
         assert abs(report.sigma2_sb - exact) <= 3 * report.sigma2_sb_se
+
+    @pytest.mark.parametrize("gamma", [-0.25, 0.0, 0.5])
+    @pytest.mark.parametrize("level", [0.1, 0.5, 0.9, 0.999])
+    def test_indicator_closed_form_vs_quadrature(self, gamma, level):
+        # The 32-node Gauss-Legendre sum over the overlap is the oracle.
+        g = GEVShape(gamma)
+        t = gev_quantile(g, level)
+        nodes, weights = np.polynomial.legendre.leggauss(32)
+        covs = [indicator_cov_exact(ZetaOverlap((z + 1.0) / 2.0), g, t) for z in nodes]
+        oracle = float(weights @ covs)
+        assert abs(sigma2_sb_indicator_exact(g, t) - oracle) <= 1e-15
+
+    def test_indicator_closed_form_ratio(self):
+        g = GEVShape(0.0)
+        t = gev_quantile(g, 0.9)
+        G = gev_cdf(g, t)
+        assert G == pytest.approx(0.9, abs=1e-15)
+        ratio = sigma2_sb_indicator_exact(g, t) / (G * (1.0 - G))
+        assert ratio == pytest.approx(0.98244316, abs=1e-8)
+
+    @pytest.mark.parametrize("gamma,t", [(0.5, -3.0), (0.0, 40.0), (-0.5, 3.0)])
+    def test_indicator_closed_form_at_cdf_edges(self, gamma, t):
+        # G = 0 below the lower endpoint, G = 1 in float or above the upper one.
+        assert gev_cdf(GEVShape(gamma), t) in (0.0, 1.0)
+        assert sigma2_sb_indicator_exact(GEVShape(gamma), t) == 0.0
 
     def test_inequality_grid(self):
         cases = [

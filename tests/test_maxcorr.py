@@ -12,8 +12,6 @@ from mocorr.cli import main
 from mocorr.errors import ValidationError
 from mocorr.maxcorr import (
     PowerIndex,
-    d_xi_corr,
-    d_xi_max_corr,
     estimate_max_corr,
     gaussian_copula_cdf,
     gaussian_oracle,
@@ -135,20 +133,32 @@ class TestPowerCorr:
         assert a == pytest.approx(b, abs=1e-14)
 
 
+def _section_corr(d, k):
+    # Corr(f_{k*xi}(S), f_k(T)): the section family is the copula at (xi, 1).
+    return power_corr(d.copula, PowerIndex(k * d.xi, k))
+
+
 class TestDXiCorr:
+    @pytest.mark.parametrize("xi", [1e-9, 0.05, 0.3, 0.5, 0.75, 0.999, 1.0])
+    def test_matches_section_closed_form(self, xi):
+        # The section family's own closed form, kept as the oracle.
+        for k in (0.0, 0.5, 1.0, 3.7, 10.0, 1e2, 1e3, 1e4, 1e5, 1e6):
+            oracle = xi * math.sqrt((2 * k + 3) * (2 * k * xi + 3)) / (2 * k * xi + xi + 2)
+            assert _section_corr(DXiParam(xi), k) == pytest.approx(oracle, rel=1e-15, abs=0)
+
     def test_comonotone(self):
-        assert d_xi_corr(DXiParam(1.0), 3.7) == pytest.approx(1.0, abs=1e-15)
+        assert _section_corr(DXiParam(1.0), 3.7) == pytest.approx(1.0, abs=1e-15)
 
     def test_frozen_k_zero(self):
-        assert d_xi_corr(DXiParam(0.5), 0.0) == pytest.approx(0.6, abs=1e-15)
+        assert _section_corr(DXiParam(0.5), 0.0) == pytest.approx(0.6, abs=1e-15)
 
     def test_limit_at_large_k(self):
-        assert d_xi_corr(DXiParam(0.5), 1e4) == pytest.approx(math.sqrt(0.5), abs=1e-3)
+        assert _section_corr(DXiParam(0.5), 1e4) == pytest.approx(math.sqrt(0.5), abs=1e-3)
 
     @given(st.floats(0.05, 1.0), st.floats(0.0, 50.0))
     def test_bounded_by_sqrt_xi(self, xi, k):
         d = DXiParam(xi)
-        assert d_xi_corr(d, k) <= d_xi_max_corr(d) + 1e-12
+        assert _section_corr(d, k) <= max_corr_closed(d.copula) + 1e-12
 
     def test_mc_agreement_moderate_k(self):
         # The smaller index k*xi rides on the first coordinate.
@@ -165,7 +175,7 @@ class TestDXiCorr:
                      / math.sqrt(np.mean(a[sl] ** 2) * np.mean(b[sl] ** 2)))
                for sl in chunks]
         se = float(np.std(per)) / math.sqrt(len(per))
-        assert abs(corr - d_xi_corr(d, k)) <= 3 * se
+        assert abs(corr - _section_corr(d, k)) <= 3 * se
 
 
 class TestClosedForms:
@@ -286,7 +296,7 @@ class TestEstimatorDomainEdges:
     def test_d_xi_grid(self, i, xi):
         d = DXiParam(xi)
         est = estimate_max_corr(sample_d_xi(d, 1_000_000, RngStream(81).child(i)), m=64)
-        assert abs(est.value - d_xi_max_corr(d)) <= 0.02
+        assert abs(est.value - max_corr_closed(d.copula)) <= 0.02
 
     def test_cli_near_comonotone_shock_model(self, capsys):
         code = main(["maxcorr", "--family", "mo", "--l1", "0.001", "--l2", "0.001",

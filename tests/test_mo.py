@@ -13,7 +13,6 @@ from mocorr.mo import (
     MOParams,
     PairSample,
     copula_cdf,
-    d_xi_cdf,
     max_stability_defect,
     mo_cdf,
     mo_marginal_survival,
@@ -26,7 +25,7 @@ from mocorr.mo import (
     write_sample_csv,
 )
 from mocorr.numerics import ecdf_ks
-from mocorr.rng import RngStream
+from mocorr.rng import RngStream, draw_uniforms
 
 rates = st.floats(min_value=0.05, max_value=20.0, allow_nan=False)
 unit_open = st.floats(min_value=0.01, max_value=0.99)
@@ -129,19 +128,31 @@ class TestCopulaCdf:
             copula_cdf(CopulaParams(0.5, 0.5), 1.2, 0.5)
 
 
+def _section_formula(xi, u, v):
+    # The section family's own form, kept as the oracle for C_{xi,1}.
+    return u ** (1.0 - xi) * np.minimum(u ** xi, v)
+
+
 class TestDXiCdf:
+    @pytest.mark.parametrize("xi", [1e-9, 0.05, 0.3, 0.5, 0.75, 0.999, 1.0])
+    def test_section_is_copula_at_xi_1(self, xi):
+        pts = np.linspace(0.0, 1.0, 401)
+        U, V = np.meshgrid(pts, pts, indexing="ij")
+        gap = np.abs(copula_cdf(DXiParam(xi).copula, U, V) - _section_formula(xi, U, V))
+        assert gap.max() <= 2.3e-16
+
     @given(st.floats(0.01, 1.0), unit_closed)
     def test_margins(self, xi, u):
         d = DXiParam(xi)
-        assert d_xi_cdf(d, u, 1.0) == pytest.approx(u, abs=1e-15)
-        assert d_xi_cdf(d, 1.0, u) == pytest.approx(u, abs=1e-15)
+        assert copula_cdf(d.copula, u, 1.0) == pytest.approx(u, abs=1e-15)
+        assert copula_cdf(d.copula, 1.0, u) == pytest.approx(u, abs=1e-15)
 
     def test_comonotone_boundary(self):
-        assert d_xi_cdf(DXiParam(1.0), 0.3, 0.8) == pytest.approx(0.3)
-        assert d_xi_cdf(DXiParam(1.0), 0.8, 0.3) == pytest.approx(0.3)
+        assert copula_cdf(DXiParam(1.0).copula, 0.3, 0.8) == pytest.approx(0.3)
+        assert copula_cdf(DXiParam(1.0).copula, 0.8, 0.3) == pytest.approx(0.3)
 
     def test_frozen_value(self):
-        assert d_xi_cdf(DXiParam(0.5), 0.25, 0.4) == pytest.approx(0.2)
+        assert copula_cdf(DXiParam(0.5).copula, 0.25, 0.4) == pytest.approx(0.2)
 
 
 class TestSamplers:
@@ -193,7 +204,15 @@ class TestSamplers:
     def test_d_xi_sampler_ks(self):
         d = DXiParam(0.5)
         s = sample_d_xi(d, 100_000, RngStream(48))
-        assert ecdf_ks(s, lambda u, v: d_xi_cdf(d, u, v)) < 0.01
+        assert ecdf_ks(s, lambda u, v: copula_cdf(d.copula, u, v)) < 0.01
+
+    @pytest.mark.parametrize("xi", [0.3, 1.0])
+    def test_d_xi_sampler_is_section_map(self, xi):
+        # Two columns (x, z), mapped to (max(x**(1/(1-xi)), z**(1/xi)), z).
+        s = sample_d_xi(DXiParam(xi), 1000, RngStream(50))
+        x, z = draw_uniforms(RngStream(50), 1000, 2).T
+        first = z if xi == 1.0 else np.maximum(x ** (1.0 / (1.0 - xi)), z ** (1.0 / xi))
+        np.testing.assert_array_equal(s.pairs, np.column_stack([first, z]))
 
     def test_d_xi_comonotone_boundary(self):
         s = sample_d_xi(DXiParam(1.0), 1000, RngStream(49))
