@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -376,6 +378,29 @@ class TestVariance:
         lines = out.strip().splitlines()
         assert lines[0] == "zeta,cov,se"
         assert len(lines) == 9
+
+    # A rare event: a negative cov and cells below 1e-4, printed with an exponent.
+    ZETA_CSV = ["variance", "--h", "indicator", "--threshold", "7", "--gamma", "0",
+                "--n-mc", "20000", "--zeta-nodes", "8", "--format", "csv", "--seed", "9"]
+
+    def test_csv_stdout_matches_out_file(self, tmp_path, capsys):
+        code, out, _ = run_cli(capsys, *self.ZETA_CSV)
+        assert code == 0
+        path = tmp_path / "zeta.csv"
+        code, _, err = run_cli(capsys, *self.ZETA_CSV, "--out", str(path))
+        assert code == 0, err
+        assert path.read_bytes() == out.encode("ascii")
+        assert ",-8.4" in out and "e-05," in out
+
+    def test_csv_to_a_text_only_stdout(self, capsys):
+        # An io.StringIO has no binary .buffer; the CSV still prints as text.
+        code, out, _ = run_cli(capsys, *self.ZETA_CSV)
+        assert code == 0
+        text = io.StringIO()
+        with contextlib.redirect_stdout(text):
+            code = main(list(self.ZETA_CSV))
+        assert code == 0
+        assert text.getvalue() == out
 
     def test_blocksim_attachment(self, capsys):
         code, out, _ = run_cli(

@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -288,6 +289,21 @@ class TestSlidingVariance:
         assert G == pytest.approx(0.9, abs=1e-15)
         ratio = sigma2_sb_indicator_exact(g, t) / (G * (1.0 - G))
         assert ratio == pytest.approx(0.98244316, abs=1e-8)
+
+    @pytest.mark.parametrize("gamma", [-0.25, 0.0, 0.5])
+    @pytest.mark.parametrize("tail", [1e-3, 1e-6, 1e-9, 1e-12, 0.2, 0.3])
+    def test_indicator_closed_form_relative_near_one(self, gamma, tail):
+        # 60-digit decimal evaluation of 2*(G*(G-1)/ln G - G^2) at the same G:
+        # as G -> 1 the value is ~G*(1-G), so only a relative bound tests it.
+        g = GEVShape(gamma)
+        t = gev_quantile(g, 1.0 - tail)
+        G = gev_cdf(g, t)
+        assert 0.5 * tail < 1.0 - G < 2.0 * tail
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            d = decimal.Decimal(G)
+            oracle = float(2 * (d * (d - 1) / d.ln() - d * d))
+        assert abs(sigma2_sb_indicator_exact(g, t) - oracle) <= 1e-14 * oracle
 
     @pytest.mark.parametrize("gamma,t", [(0.5, -3.0), (0.0, 40.0), (-0.5, 3.0)])
     def test_indicator_closed_form_at_cdf_edges(self, gamma, t):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mocorr.errors import ValidationError
 from mocorr.extremes import GEVShape, ZetaOverlap, sample_limit_pair
@@ -18,7 +20,7 @@ from mocorr.mo import (
     write_sample_csv,
 )
 from mocorr.rng import RngStream
-from mocorr.serialize import CSV_CHUNK_ROWS, write_csv
+from mocorr.serialize import CSV_CHUNK_ROWS, _csv_chunks, write_csv
 
 
 def per_row_csv(header: str, rows) -> bytes:
@@ -45,7 +47,10 @@ EDGE_VALUES = [0.0, -0.0, 1.0, 5e-324, 2.2250738585072014e-308, 1e-4, 1e-5,
                1e16, 1e17, -3.5]
 
 
-@pytest.mark.parametrize("n", [1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1])
+# One chunk's edges, and those of a table of four whole chunks.
+@pytest.mark.parametrize("n", [1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1,
+                               4 * CSV_CHUNK_ROWS - 1, 4 * CSV_CHUNK_ROWS,
+                               4 * CSV_CHUNK_ROWS + 1])
 @pytest.mark.parametrize("family", sorted(SAMPLERS))
 def test_samples_match_per_row_writer(tmp_path, family, n):
     sample = SAMPLERS[family](n, RngStream(90))
@@ -84,3 +89,74 @@ def test_non_finite_leaves_no_file(tmp_path, bad):
     with pytest.raises(ValidationError, match="non-finite"):
         write_csv(path, "u,v", rows)
     assert not path.exists()
+
+
+# ---------------------------------------------------------------------------
+# The vectorized cell kernel is exact: every finite double prints as "%.17g".
+
+
+def csv_bytes(header: str, rows) -> bytes:
+    return "".join(_csv_chunks(header, rows)).encode("ascii")
+
+
+def assert_cells_exact(values, columns=1):
+    rows = np.asarray(values, dtype=float).reshape(-1, columns)
+    header = ",".join("c%d" % i for i in range(columns))
+    assert csv_bytes(header, rows) == per_row_csv(header, rows)
+
+
+@given(st.integers(1, 3).flatmap(lambda width: st.lists(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False),
+             min_size=width, max_size=width),
+    min_size=1, max_size=40)))
+def test_any_finite_float_matches_percent(rows):
+    assert csv_bytes("x", rows) == per_row_csv("x", rows)
+
+
+def test_random_bit_patterns():
+    bits = np.random.default_rng(2).integers(0, 2 ** 64, size=2 ** 20, dtype=np.uint64)
+    values = bits.view(np.float64)
+    values = values[np.isfinite(values)]
+    assert_cells_exact(values[: len(values) // 2 * 2], columns=2)
+
+
+def test_powers_of_ten_and_neighbours():
+    # Where floor(log10|x|) may be off by one, and the decades' first cells.
+    powers = np.array([float(10.0 ** k) for k in range(-6, 18)])
+    values = [powers]
+    for steps in (1, 2):
+        below, above = powers.copy(), powers.copy()
+        for _ in range(steps):
+            below = np.nextafter(below, 0.0)
+            above = np.nextafter(above, np.inf)
+        values += [below, above]
+    values = np.concatenate(values)
+    assert_cells_exact(np.concatenate([values, -values]), columns=2)
+
+
+def test_halfway_ties_round_to_even():
+    # q / 2**(17-k) with q odd has an exact 5 in the 18th significant digit.
+    rng = np.random.default_rng(3)
+    ties = [1234567890123456.75, 1234567890123457.25, 0.5 ** 17 * 131073]
+    for k in range(-4, 16):
+        low = math.ceil(10.0 ** k * 2 ** (17 - k))
+        high = min(10 ** (k + 1) * 2 ** (17 - k), 2 ** 53)
+        q = rng.integers(low // 2, high // 2, size=200) * 2 + 1
+        tie = np.ldexp(q.astype(float), k - 17)
+        ties += list(tie[(tie >= 10.0 ** k) & (tie < 10.0 ** (k + 1))])
+    text = csv_bytes("x", [[t] for t in ties]).decode().split()
+    assert text[1] == "1234567890123456.8" and text[2] == "1234567890123457.2"
+    assert_cells_exact(ties + [-t for t in ties], columns=1)
+
+
+def test_carries_integers_and_extremes():
+    values = [
+        0.99999999999999999, 9.9999999999999995e-5, 0.00099999999999999999,
+        9.99999999999999999e14, 999999999999999.9, 99.999999999999997,
+        1.0, 2.0, 10.0, 12345.0, 2.0 ** 52, 2.0 ** 53 - 1, 9007199254740993.0,
+        123.00000000000001, 0.1, 0.30000000000000004, 1.5, 100.5,
+        5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+        -1.7976931348623157e308, 1e-4, 1e16, 1e300, 1e-300, 0.0, -0.0,
+    ]
+    assert_cells_exact(values + [-v for v in values], columns=1)
+    assert_cells_exact(values[:27], columns=3)
