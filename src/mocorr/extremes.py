@@ -1,11 +1,12 @@
 """Block-maxima limits and the disjoint/sliding variance comparison.
 
-A pair of block maxima whose blocks overlap by a fraction ``zeta`` has,
-in the limit, the joint law
-``G(x, y) = C(G_gamma(x), G_gamma(y))`` where ``C`` is the survival
-copula with both exponents ``1 - zeta`` and ``G_gamma`` is the
-generalized extreme value cdf.  For a square-integrable functional
-``h`` the disjoint-blocks asymptotic variance is
+A pair of block maxima whose blocks are offset by a fraction ``zeta``
+of their length, so that they share a fraction ``1 - zeta``, has, in
+the limit, the joint law ``G(x, y) = C(G_gamma(x), G_gamma(y))`` where
+``C`` is the survival copula with both exponents ``1 - zeta`` and
+``G_gamma`` is the generalized extreme value cdf; ``zeta = 0`` is the
+comonotone pair.  For a square-integrable functional ``h`` the
+disjoint-blocks asymptotic variance is
 ``sigma2_db = Var(h(Y))`` while the sliding-blocks one is
 ``sigma2_sb = 2 * int_0^1 Cov(h(Y1_zeta), h(Y2_zeta)) dzeta``, and
 ``sigma2_sb <= sigma2_db`` always.  This module computes both routes:
@@ -47,7 +48,7 @@ class GEVShape:
 
 @dataclass(frozen=True)
 class ZetaOverlap:
-    """Overlap fraction of two blocks, in [0, 1]."""
+    """Offset of two blocks as a fraction of their length, in [0, 1]; they share ``1 - zeta``."""
 
     zeta: float
 
@@ -94,7 +95,7 @@ def gev_quantile(g: GEVShape, p):
 
 
 def limit_copula_cdf(z: ZetaOverlap, g: GEVShape, x, y):
-    """Joint cdf of the overlap-limit pair at overlap ``zeta``."""
+    """Joint cdf of the overlap-limit pair at offset ``zeta`` (blocks share ``1 - zeta``)."""
     c = CopulaParams(1.0 - z.zeta, 1.0 - z.zeta)
     return copula_cdf(c, gev_cdf(g, x), gev_cdf(g, y))
 

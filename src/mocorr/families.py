@@ -45,12 +45,6 @@ class Family:
     to_copula: Callable | None = None
 
 
-def _rho(rho: float) -> float:
-    if not -1.0 < rho < 1.0:
-        raise ValidationError("--rho must lie strictly inside (-1, 1)")
-    return rho
-
-
 def _unit(d: dict) -> tuple[float, float]:
     return 0.0, 1.0
 
@@ -89,7 +83,7 @@ FAMILY_TABLE = {
         lambda d, u, v: mo.copula_cdf(d.copula, u, v),
         lambda d: maxcorr.max_corr_closed(d.copula), _unit),
     "limit_gev": Family(
-        (("zeta", "block overlap fraction"), ("gamma", "GEV shape")),
+        (("zeta", "block offset; the blocks share 1 - zeta"), ("gamma", "GEV shape")),
         lambda zeta, gamma: (extremes.ZetaOverlap(zeta), extremes.GEVShape(gamma)),
         lambda p: {"zeta": p[0].zeta, "gamma": p[1].gamma},
         lambda p, n, s: extremes.sample_limit_pair(*p, n, s),
@@ -100,7 +94,8 @@ FAMILY_TABLE = {
             extremes.gev_cdf(p[1], pairs[:, 1]),
         ])),
     "gaussian": Family(
-        (("rho", "correlation"),), _rho, lambda rho: {"rho": rho},
+        (("rho", "correlation"),), lambda rho: maxcorr._check_rho(rho),
+        lambda rho: {"rho": rho},
         lambda rho, n, s: maxcorr.sample_gaussian_copula(rho, n, s),
         lambda rho, u, v: maxcorr.gaussian_copula_cdf(rho, u, v),
         abs, _unit),

@@ -175,12 +175,17 @@ def estimate_max_corr(sample: PairSample, m: int = 64) -> MaxCorrEstimate:
 # Gaussian reference family
 
 
-def sample_gaussian_copula(rho: float, n: int, rng: RngStream) -> PairSample:
-    """Pairs ``(Phi(Z1), Phi(Z2))`` with correlated standard normals."""
-    from scipy.special import ndtr  # deferred: only this family needs scipy
+def _check_rho(rho: float) -> float:
     rho = float(rho)
     if not -1.0 < rho < 1.0:
         raise ValidationError("rho must lie in (-1, 1)")
+    return rho
+
+
+def sample_gaussian_copula(rho: float, n: int, rng: RngStream) -> PairSample:
+    """Pairs ``(Phi(Z1), Phi(Z2))`` with correlated standard normals."""
+    from scipy.special import ndtr  # deferred: only this family needs scipy
+    rho = _check_rho(rho)
     z = draw_iid(rng, _check_n(n), lambda g, size: g.standard_normal((size, 2)))
     z2 = rho * z[:, 0] + math.sqrt(1.0 - rho * rho) * z[:, 1]
     pairs = np.column_stack([ndtr(z[:, 0]), ndtr(z2)])
@@ -195,9 +200,7 @@ def gaussian_copula_cdf(rho: float, u, v):
     quantiles are clipped to |x| <= 8, which bounds the error by ~1e-15.
     """
     from scipy.special import ndtr, ndtri
-    rho = float(rho)
-    if not -1.0 < rho < 1.0:
-        raise ValidationError("rho must lie in (-1, 1)")
+    rho = _check_rho(rho)
     a = np.atleast_1d(np.asarray(u, dtype=float))
     b = np.atleast_1d(np.asarray(v, dtype=float))
     # Written so that NaN fails the test too.

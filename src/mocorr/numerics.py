@@ -4,6 +4,9 @@ Composite Gauss-Legendre nodes on the unit interval and quadrature on
 the unit square, a two-sided bivariate ECDF distance, histogram binning
 of pair samples, and the second singular value of the normalized binned
 operator from a dense SVD.
+
+The ECDF distance sorts the sample once, by x then y, and takes both
+sides of every jump from one merge-counting pass over y in that order.
 """
 
 from __future__ import annotations
@@ -83,56 +86,51 @@ def _dense_codes(a: np.ndarray) -> np.ndarray:
     return codes.astype(np.int64)
 
 
-def _count_prev(codes: np.ndarray, strict: bool) -> np.ndarray:
+def _count_prev(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For each position i, count earlier positions j with
-    codes[j] <= codes[i] (strict=False) or codes[j] < codes[i] (strict=True).
+    codes[j] < codes[i] and with codes[j] <= codes[i].
 
-    Bottom-up merge counting; O(n log^2 n) with vectorized levels.
+    Bottom-up merge counting of the inclusive side; O(n log^2 n) with
+    vectorized levels.  The last level leaves the codes in stable sorted
+    order, where the earlier equal codes of each position are its offset
+    in its run, so the strict side needs no search of its own.
     """
     n = codes.shape[0]
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    size = 1 << int(np.ceil(np.log2(max(n, 1)))) if n > 1 else 1
+    size = 1 << int(np.ceil(np.log2(n))) if n > 1 else 1
     pad_code = codes.max(initial=0) + 1
     ys = np.full(size, pad_code, dtype=np.int64)
     ys[:n] = codes
     pos = np.arange(size)
-    counts = np.zeros(size, dtype=np.int64)
-    side = "left" if strict else "right"
+    le = np.zeros(size, dtype=np.int64)
     offset = pad_code + 1
     width = 1
     while width < size:
         pairs = size // (2 * width)
         block = ys.reshape(pairs, 2 * width)
         pos_block = pos.reshape(pairs, 2 * width)
-        left = block[:, :width]
-        right = block[:, width:]
         # Rows are value-disjoint after offsetting, so one flat search works.
         row_off = (np.arange(pairs, dtype=np.int64) * offset)[:, None]
-        flat_left = (left + row_off).ravel()
-        flat_right = (right + row_off).ravel()
-        located = np.searchsorted(flat_left, flat_right, side=side)
+        flat_left = (block[:, :width] + row_off).ravel()
+        flat_right = (block[:, width:] + row_off).ravel()
+        located = np.searchsorted(flat_left, flat_right, side="right")
         located -= np.repeat(np.arange(pairs, dtype=np.int64) * width, width)
-        counts[pos_block[:, width:].ravel()] += located
+        le[pos_block[:, width:].ravel()] += located
         order = np.argsort(block, axis=1, kind="stable")
         ys = np.take_along_axis(block, order, axis=1).ravel()
         pos = np.take_along_axis(pos_block, order, axis=1).ravel()
         width *= 2
-    return counts[:n]
+    equal_before = np.empty(size, dtype=np.int64)
+    equal_before[pos] = np.arange(size) - _run_starts(ys)
+    return le[:n] - equal_before[:n], le[:n]
 
 
-def _group_max_runs(keys_a: np.ndarray, keys_b: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Within runs of identical (keys_a, keys_b), replace values by the run max."""
-    n = values.shape[0]
-    if n == 0:
-        return values
-    new_run = np.empty(n, dtype=bool)
+def _run_starts(*keys: np.ndarray) -> np.ndarray:
+    """Index of the first row of each row's run of identical ``keys``."""
+    new_run = np.zeros(keys[0].shape[0], dtype=bool)
     new_run[0] = True
-    new_run[1:] = (keys_a[1:] != keys_a[:-1]) | (keys_b[1:] != keys_b[:-1])
-    run_id = np.cumsum(new_run) - 1
-    run_max = np.full(run_id[-1] + 1, np.iinfo(np.int64).min, dtype=values.dtype)
-    np.maximum.at(run_max, run_id, values)
-    return run_max[run_id]
+    for key in keys:
+        new_run[1:] |= key[1:] != key[:-1]
+    return np.maximum.accumulate(np.where(new_run, np.arange(new_run.shape[0]), 0))
 
 
 def ecdf_ks(sample, cdf) -> float:
@@ -164,29 +162,27 @@ def ecdf_ks(sample, cdf) -> float:
     x, y = pairs[:, 0], pairs[:, 1]
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValidationError("sample coordinates must be finite")
-    cx, cy = _dense_codes(x), _dense_codes(y)
-
-    # Inclusive counts: lexicographic order (x asc, y asc) puts every
-    # dominated-or-equal point before or at i except later duplicates,
-    # which the run-max pass folds back in.
-    order = np.lexsort((cy, cx))
-    inc_sorted = _count_prev(cy[order], strict=False) + 1
-    inc_sorted = _group_max_runs(cx[order], cy[order], inc_sorted)
-    inclusive = np.empty(n, dtype=np.int64)
-    inclusive[order] = inc_sorted
-
-    # Strict counts: order y descending inside each x so that same-x
-    # predecessors can never be counted as strictly below.
-    order2 = np.lexsort((-cy, cx))
-    strict_sorted = _count_prev(cy[order2], strict=True)
-    strict = np.empty(n, dtype=np.int64)
-    strict[order2] = strict_sorted
-
     target = np.asarray(cdf(x, y), dtype=float)
     if target.shape != x.shape:
         raise ValidationError("cdf must return one value per sample point")
     if not np.all(np.isfinite(target)):
         raise ValidationError("cdf returned non-finite values on the sample")
+
+    # In (x asc, y asc) order every row before i has x_j <= x_i.  Of the
+    # earlier rows with y_j < y_i, those in i's x-run do not have x_j < x_i,
+    # and they are the rows from the x-run's start to the (x, y)-run's.
+    # The later rows that count inclusively are the rest of i's (x, y) run,
+    # so le + 1 is the inclusive count at the run's last row; at its other
+    # rows it lies between the strict and inclusive counts of the same
+    # point, where the cdf takes the same value, so it never raises the
+    # maximum.
+    cy = _dense_codes(y)
+    order = np.lexsort((cy, x))
+    xs, ys = x[order], cy[order]
+    lt, le = _count_prev(ys)
+    strict = lt - (_run_starts(xs, ys) - _run_starts(xs))
+    inclusive = le + 1
+    target = target[order]
     upper = np.abs(inclusive / n - target)
     lower = np.abs(strict / n - target)
     return float(max(upper.max(), lower.max()))

@@ -70,6 +70,15 @@ class TestSample:
             "0.5", "-n", "10", "--out", str(tmp_path / "x.csv"))
         assert code == 1
         assert "[0, 1]" in err
+        # rho = 1 lies outside the open interval on every family subcommand.
+        for argv in (["sample", "-n", "10", "--out", str(tmp_path / "x.csv")],
+                     ["cdf-eval", "--at", "0.5", "0.5"],
+                     ["maxcorr", "-n", "20000", "--m", "8"]):
+            code, out, err = run_cli(capsys, *argv, "--family", "gaussian", "--rho", "1")
+            assert code == 1
+            assert out == ""
+            assert "rho must lie in (-1, 1)" in err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_missing_family_param(self, tmp_path, capsys):
         code, _, err = run_cli(

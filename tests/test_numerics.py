@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mocorr.errors import EvaluationError, ValidationError
+from mocorr.families import FAMILY_TABLE
 from mocorr.mo import CopulaParams, copula_cdf, sample_copula
 from mocorr.numerics import (
     BinnedOperator,
@@ -59,6 +60,14 @@ class TestEcdfKs:
         # Duplicate some rows to exercise the tie handling.
         pts[50:60] = pts[0]
         pts[:, 1][100:110] = pts[:, 1][0]
+        cases = [pts]
+        # Both coordinates tie: points of a k x k lattice.
+        cases += [gen.integers(0, k, (n, 2)) / k for k in (1, 2, 3, 5) for n in (1, 2, 60)]
+        ties_x, ties_y = pts[:60].copy(), pts[:60].copy()
+        ties_x[:, 0] = np.round(ties_x[:, 0] * 4) / 4
+        ties_y[:, 1] = np.round(ties_y[:, 1] * 4) / 4
+        cases += [ties_x, ties_y, np.repeat(pts[:1], 30, axis=0), pts[:1], pts[:2],
+                  4.0 * pts[:300] - 3.0, gen.integers(-3, 2, (60, 2)).astype(float)]
 
         def brute(sample, cdf):
             worst = 0.0
@@ -70,8 +79,35 @@ class TestEcdfKs:
                 worst = max(worst, abs(le - c), abs(lt - c))
             return worst
 
-        fast = ecdf_ks(pts, lambda u, v: u * v)
-        assert fast == pytest.approx(brute(pts, lambda u, v: u * v), abs=1e-15)
+        def spike(a, b, height):
+            return lambda u, v: np.where((u == a) & (v == b), height, 0.5)
+
+        for case in cases:
+            cdfs = [lambda u, v: u * v]
+            if len(case) <= 60:
+                # A cdf far off at one point makes the distance that point's
+                # own count, 2 - strict/n or 1 + inclusive/n, so that no
+                # miscount hides under the maximum.
+                cdfs += [spike(a, b, h) for a, b in np.unique(case, axis=0)
+                         for h in (-1.0, 2.0)]
+            for cdf in cdfs:
+                assert ecdf_ks(case, cdf) == pytest.approx(brute(case, cdf), abs=1e-15)
+
+    # One draw per family at the battery's ks_n = 100,000.  A single
+    # miscounted point moves the distance by ~1e-5, far inside every KS
+    # threshold, so the counts are pinned by the exact float.
+    @pytest.mark.parametrize("family, args, expected", [
+        ("mo", (1.0, 2.0, 1.5), 0.002782952173324249),
+        ("copula", (0.3, 0.7), 0.002893290173391516),
+        ("d_xi", (0.5,), 0.0030692637545379764),
+        ("limit_gev", (0.3, 0.2), 0.0030090992928311633),
+        ("gaussian", (0.5,), 0.0027365063983201265),
+    ])
+    def test_exact_value_at_battery_size(self, family, args, expected):
+        record = FAMILY_TABLE[family]
+        p = record.params(*args)
+        sample = record.sample(p, 100_000, RngStream(11))
+        assert ecdf_ks(sample, lambda x, y: record.cdf(p, x, y)) == expected
 
     def test_sample_against_own_cdf_small(self):
         c = CopulaParams(0.4, 0.8)
