@@ -26,7 +26,6 @@ from .extremes import (
     gev_quantile,
     limit_copula_cdf,
     limit_pair_corr,
-    limit_pair_cov,
     sample_limit_pair,
     sigma2_db,
     sigma2_sb,
@@ -39,7 +38,6 @@ from .maxcorr import (
     PowerIndex,
     estimate_max_corr,
     gaussian_copula_cdf,
-    gaussian_oracle,
     max_corr_closed,
     max_corr_from_rates,
     power_corr,
@@ -110,12 +108,10 @@ __all__ = [
     "ecdf_ks",
     "estimate_max_corr",
     "gaussian_copula_cdf",
-    "gaussian_oracle",
     "gev_cdf",
     "gev_quantile",
     "limit_copula_cdf",
     "limit_pair_corr",
-    "limit_pair_cov",
     "max_corr_closed",
     "max_corr_from_rates",
     "max_stability_defect",

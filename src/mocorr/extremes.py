@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import DivergentMomentError, EvaluationError, ValidationError
+from .errors import DivergentMomentError, EvaluationError, ValidationError, _check_floats
 from .mo import CopulaParams, PairSample, _check_n, copula_cdf, copula_pair_from_uniforms
 from .numerics import QuadratureSpec
 from .rng import RngStream, draw_iid, draw_uniforms
@@ -40,10 +40,7 @@ class GEVShape:
     gamma: float
 
     def __post_init__(self):
-        value = float(self.gamma)
-        if not math.isfinite(value):
-            raise ValidationError("gamma must be finite")
-        object.__setattr__(self, "gamma", value)
+        _check_floats(self, ("gamma",), lambda v: True, "must be finite")
 
 
 @dataclass(frozen=True)
@@ -53,10 +50,7 @@ class ZetaOverlap:
     zeta: float
 
     def __post_init__(self):
-        value = float(self.zeta)
-        if not math.isfinite(value) or not 0.0 <= value <= 1.0:
-            raise ValidationError("zeta must lie in [0, 1]")
-        object.__setattr__(self, "zeta", value)
+        _check_floats(self, ("zeta",), lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")
 
 
 def gev_cdf(g: GEVShape, x):
@@ -83,7 +77,8 @@ def gev_cdf(g: GEVShape, x):
 def gev_quantile(g: GEVShape, p):
     """Inverse of :func:`gev_cdf` on (0, 1)."""
     q = np.asarray(p, dtype=float)
-    if np.any(q <= 0.0) or np.any(q >= 1.0):
+    # Written so that NaN fails the test too.
+    if not (np.all(q > 0.0) and np.all(q < 1.0)):
         raise ValidationError("quantile levels must lie in (0, 1)")
     logs = -np.log(q)
     if g.gamma == 0.0:
@@ -265,11 +260,8 @@ class VarianceReport:
         return out
 
 
-def sigma2_db(h: Functional, g: GEVShape, n_mc: int = 1_000_000,
-              rng: RngStream | None = None) -> tuple[float, float]:
+def sigma2_db(h: Functional, g: GEVShape, n_mc: int, rng: RngStream) -> tuple[float, float]:
     """Disjoint-blocks variance ``Var(h(Y))`` with its MC standard error."""
-    if rng is None:
-        raise ValidationError("sigma2_db requires an RngStream")
     if int(n_mc) < 2:
         raise ValidationError("n_mc must be >= 2")
     check_moments(h, g)
@@ -298,27 +290,8 @@ def _cov_se(h1: np.ndarray, h2: np.ndarray) -> tuple[float, float]:
     return cov, se
 
 
-def _limit_pair_draw(name: str, floor: int, h: Functional, g: GEVShape, z: ZetaOverlap,
-                     n_mc: int, rng: RngStream | None):
-    """``(h(Y1), h(Y2))`` over ``n_mc`` overlap-limit pairs, moments checked."""
-    if rng is None:
-        raise ValidationError(f"{name} requires an RngStream")
-    if int(n_mc) < floor:
-        raise ValidationError(f"n_mc must be >= {floor}")
-    check_moments(h, g)
-    h1, h2 = _pair_values(h, g, z.zeta, draw_uniforms(rng, int(n_mc), 3))
-    check_moments(h, g, h1)
-    return h1, h2
-
-
-def limit_pair_cov(h: Functional, g: GEVShape, z: ZetaOverlap,
-                   n_mc: int = 200_000, rng: RngStream | None = None) -> tuple[float, float]:
-    """MC covariance ``Cov(h(Y1), h(Y2))`` at one overlap, with its SE."""
-    return _cov_se(*_limit_pair_draw("limit_pair_cov", 2, h, g, z, n_mc, rng))
-
-
 def limit_pair_corr(h: Functional, g: GEVShape, z: ZetaOverlap,
-                    n_mc: int = 200_000, rng: RngStream | None = None) -> tuple[float, float]:
+                    n_mc: int, rng: RngStream) -> tuple[float, float]:
     """MC correlation of ``(h(Y1), h(Y2))`` with an SE from 25 chunks.
 
     Needs ``n_mc >= 4``: the SE takes at least two chunks of two pairs.
@@ -326,7 +299,11 @@ def limit_pair_corr(h: Functional, g: GEVShape, z: ZetaOverlap,
     chunks (so also when it is constant on the whole draw), where a
     correlation the result needs is undefined.
     """
-    h1, h2 = _limit_pair_draw("limit_pair_corr", 4, h, g, z, n_mc, rng)
+    if int(n_mc) < 4:
+        raise ValidationError("n_mc must be >= 4")
+    check_moments(h, g)
+    h1, h2 = _pair_values(h, g, z.zeta, draw_uniforms(rng, int(n_mc), 3))
+    check_moments(h, g, h1)
     chunks = max(2, min(25, h1.size // 2))
     parts = []
     for i, (a, b) in enumerate(zip(np.array_split(h1, chunks), np.array_split(h2, chunks))):
@@ -469,8 +446,6 @@ def _block_scaling(dist: str, r: int, n_blocks: int,
     Cheap enough to run before any Monte Carlo, so the CLI calls it
     ahead of the work as well.
     """
-    if int(r) < 1:
-        raise ValidationError("block size r must be >= 1")
     if int(n_blocks) < 2:
         raise ValidationError("n_blocks must be >= 2")
     total = int(r) * int(n_blocks)
@@ -556,7 +531,7 @@ class BlockSimResult:
 
 
 def block_maxima_simulate(dist: str, r: int, n_blocks: int, mode: str,
-                          h: Functional, rng: RngStream | None = None,
+                          h: Functional, rng: RngStream,
                           alpha: float | None = None) -> BlockSimResult:
     """Simulate an iid sequence and estimate one asymptotic variance.
 
@@ -571,8 +546,6 @@ def block_maxima_simulate(dist: str, r: int, n_blocks: int, mode: str,
     estimate costs O(n).  Standard errors come from re-running the
     estimator on up to 20 disjoint segments of the same sequence.
     """
-    if rng is None:
-        raise ValidationError("block_maxima_simulate requires an RngStream")
     if mode not in ("disjoint", "sliding"):
         raise ValidationError("mode must be 'disjoint' or 'sliding'")
     gamma, a_r, b_r = _block_scaling(dist, r, n_blocks, alpha)

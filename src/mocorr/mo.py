@@ -17,12 +17,11 @@ component and is handy as a calibration family.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _check_floats
 from .rng import RngStream, draw_uniforms, draw_iid
 from .serialize import canonical_json, write_csv
 
@@ -35,11 +34,8 @@ class MOParams:
     lambda12: float
 
     def __post_init__(self):
-        for name in ("lambda1", "lambda2", "lambda12"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value) or value <= 0:
-                raise ValidationError(f"{name} must be positive and finite")
-            object.__setattr__(self, name, value)
+        _check_floats(self, ("lambda1", "lambda2", "lambda12"), lambda v: v > 0,
+                      "must be positive and finite")
 
     @property
     def tie_probability(self) -> float:
@@ -59,11 +55,7 @@ class CopulaParams:
     psi: float
 
     def __post_init__(self):
-        for name in ("phi", "psi"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value) or not 0.0 <= value <= 1.0:
-                raise ValidationError(f"{name} must lie in [0, 1]")
-            object.__setattr__(self, name, value)
+        _check_floats(self, ("phi", "psi"), lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")
 
     def as_dict(self) -> dict:
         return {"phi": self.phi, "psi": self.psi}
@@ -76,10 +68,7 @@ class DXiParam:
     xi: float
 
     def __post_init__(self):
-        value = float(self.xi)
-        if not math.isfinite(value) or not 0.0 < value <= 1.0:
-            raise ValidationError("xi must lie in (0, 1]")
-        object.__setattr__(self, "xi", value)
+        _check_floats(self, ("xi",), lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]")
 
     @property
     def copula(self) -> CopulaParams:
@@ -200,7 +189,7 @@ def _unit_pair(u, v):
     b = np.asarray(v, dtype=float)
     if np.any(a < 0) or np.any(a > 1) or np.any(b < 0) or np.any(b > 1) \
             or not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise ValidationError("copula arguments must lie in [0, 1]")
+        raise ValidationError("copula arguments must lie in the unit square [0, 1]^2")
     return a, b
 
 
@@ -232,10 +221,10 @@ def perturbed_copula_cdf(c: CopulaParams, eps: float):
 # Samplers
 
 
-def _check_n(n: int) -> int:
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or int(n) < 1:
-        raise ValidationError("n must be a positive integer")
-    return int(n)
+def _check_n(value: int, name: str = "n") -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or int(value) < 1:
+        raise ValidationError(f"{name} must be a positive integer")
+    return int(value)
 
 
 def sample_mo(p: MOParams, n: int, rng: RngStream) -> PairSample:
@@ -299,15 +288,14 @@ def max_stability_defect(c: CopulaParams, m: int, grid: int = 101, cdf=None) -> 
     extreme-value copula returns ~0 (float roundoff only); pass a
     perturbed ``cdf`` to see a positive defect.
     """
-    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or int(m) < 1:
-        raise ValidationError("m must be a positive integer")
+    m = _check_n(m, "m")
     if int(grid) < 2:
         raise ValidationError("grid must be >= 2")
     fn = cdf if cdf is not None else (lambda u, v: copula_cdf(c, u, v))
     pts = np.linspace(0.0, 1.0, int(grid))
     U, V = np.meshgrid(pts, pts, indexing="ij")
     direct = fn(U, V)
-    rooted = fn(U ** (1.0 / int(m)), V ** (1.0 / int(m))) ** int(m)
+    rooted = fn(U ** (1.0 / m), V ** (1.0 / m)) ** m
     return float(np.max(np.abs(direct - rooted)))
 
 

@@ -76,6 +76,16 @@ def quad_2d(f, spec: QuadratureSpec = DEFAULT_QUAD_2D) -> float:
     return float(weights @ values @ weights)
 
 
+def _pairs(sample) -> np.ndarray:
+    """The ``(n, 2)`` float pairs of a :class:`~mocorr.mo.PairSample` or array, ``n >= 1``."""
+    pairs = np.asarray(getattr(sample, "pairs", sample), dtype=float)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValidationError("sample must be an (n, 2) array of pairs")
+    if pairs.shape[0] == 0:
+        raise ValidationError("sample must contain at least one pair")
+    return pairs
+
+
 # ---------------------------------------------------------------------------
 # Bivariate ECDF distance
 
@@ -153,12 +163,8 @@ def ecdf_ks(sample, cdf) -> float:
     float
         ``max_i max(|F_n(x_i, y_i) - C(x_i, y_i)|, |F_n(x_i-, y_i-) - C(x_i, y_i)|)``.
     """
-    pairs = np.asarray(getattr(sample, "pairs", sample), dtype=float)
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise ValidationError("sample must be an (n, 2) array of pairs")
+    pairs = _pairs(sample)
     n = pairs.shape[0]
-    if n == 0:
-        raise ValidationError("sample must contain at least one pair")
     x, y = pairs[:, 0], pairs[:, 1]
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValidationError("sample coordinates must be finite")
@@ -232,11 +238,7 @@ def bin_pairs(sample, m: int) -> BinnedOperator:
     A :class:`~mocorr.mo.PairSample` of a copula-scale family checked
     its range on construction and is not scanned again.
     """
-    pairs = np.asarray(getattr(sample, "pairs", sample), dtype=float)
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise ValidationError("sample must be an (n, 2) array of pairs")
-    if pairs.shape[0] == 0:
-        raise ValidationError("sample must contain at least one pair")
+    pairs = _pairs(sample)
     if not 2 <= int(m) <= 4096:
         raise ValidationError("m must be in [2, 4096]")
     m = int(m)

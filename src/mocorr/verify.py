@@ -242,8 +242,9 @@ def check_dxi_estimator(sizes: BatterySizes, rng: RngStream) -> CheckResult:
 
 def check_gaussian_oracle(sizes: BatterySizes, rng: RngStream) -> CheckResult:
     """Gaussian copula estimate within 0.02 of |rho| (0.05 at independence)."""
-    est0 = maxcorr.gaussian_oracle(0.0, sizes.est_n, sizes.est_m, rng.child(0))
-    est6 = maxcorr.gaussian_oracle(0.6, sizes.est_n, sizes.est_m, rng.child(1))
+    est0, est6 = (maxcorr.estimate_max_corr(
+        maxcorr.sample_gaussian_copula(rho, sizes.est_n, rng.child(i)), m=sizes.est_m)
+        for i, rho in enumerate((0.0, 0.6)))
     err6 = abs(est6.value - 0.6)
     passed = est0.value <= 0.05 and err6 <= 0.02
     return CheckResult("gaussian-oracle", passed,

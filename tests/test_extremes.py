@@ -22,7 +22,6 @@ from mocorr.extremes import (
     gev_quantile,
     indicator_cov_exact,
     limit_copula_cdf,
-    limit_pair_cov,
     limit_pair_corr,
     sample_limit_pair,
     sigma2_db,
@@ -67,6 +66,10 @@ class TestGev:
             gev_quantile(GEVShape(0.0), 0.0)
         with pytest.raises(ValidationError):
             gev_quantile(GEVShape(0.0), 1.0)
+        with pytest.raises(ValidationError, match=r"\(0, 1\)"):
+            gev_quantile(GEVShape(0.0), float("nan"))
+        with pytest.raises(ValidationError, match=r"\(0, 1\)"):
+            gev_quantile(GEVShape(0.5), np.array([0.2, np.nan, 0.7]))
 
     def test_cdf_monotone(self):
         x = np.linspace(-4, 6, 200)
@@ -215,18 +218,15 @@ class TestDisjointVariance:
         var, _ = sigma2_db(Functional.const(), GEVShape(0.0), 10_000, RngStream(86))
         assert var == 0.0
 
-    def test_rng_required(self):
-        with pytest.raises(ValidationError):
-            sigma2_db(Functional.identity(), GEVShape(0.0), 100)
-
 
 class TestOverlapCovariance:
     def test_endpoints(self):
+        # zeta = 0 is the comonotone pair Y1 = Y2; zeta = 1 is independent.
         h, g = Functional.identity(), GEVShape(0.0)
-        cov0, se0 = limit_pair_cov(h, g, ZetaOverlap(0.0), 200_000, RngStream(87))
-        assert abs(cov0 - GUMBEL_VAR) <= 3 * se0
-        cov1, se1 = limit_pair_cov(h, g, ZetaOverlap(1.0), 200_000, RngStream(88))
-        assert abs(cov1) <= 3 * se1
+        corr0, _ = limit_pair_corr(h, g, ZetaOverlap(0.0), 200_000, RngStream(87))
+        assert corr0 == pytest.approx(1.0, abs=1e-12)
+        corr1, se1 = limit_pair_corr(h, g, ZetaOverlap(1.0), 200_000, RngStream(88))
+        assert abs(corr1) <= 3 * se1
 
     def test_corr_bounded_by_overlap_complement(self):
         h, g = Functional.log_transform(), GEVShape(0.5)
@@ -251,12 +251,12 @@ class TestOverlapCovariance:
             limit_pair_corr(h, GEVShape(0.0), ZetaOverlap(0.5), 1000, RngStream(92))
 
     def test_indicator_exact_vs_mc(self):
+        # Every node of sigma2_sb's covariance curve against the closed form.
         g, t = GEVShape(0.3), 0.8
-        z = ZetaOverlap(0.4)
-        exact = indicator_cov_exact(z, g, t)
-        cov, se = limit_pair_cov(Functional.indicator(t), g, z,
-                                 400_000, RngStream(90))
-        assert abs(cov - exact) <= 3 * se
+        report = sigma2_sb(Functional.indicator(t), g, FAST_ZETA_QUAD, 400_000,
+                           RngStream(90))
+        for zeta, cov, se in report.per_zeta:
+            assert abs(cov - indicator_cov_exact(ZetaOverlap(zeta), g, t)) <= 3 * se
 
 
 class TestSlidingVariance:

@@ -8,13 +8,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.stats import multivariate_normal, norm
 
+from mocorr import maxcorr
 from mocorr.cli import main
 from mocorr.errors import ValidationError
 from mocorr.maxcorr import (
     PowerIndex,
     estimate_max_corr,
     gaussian_copula_cdf,
-    gaussian_oracle,
     max_corr_closed,
     max_corr_from_rates,
     power_corr,
@@ -335,6 +335,49 @@ class TestGaussian:
         np.testing.assert_allclose(gaussian_copula_cdf(0.6, u, np.ones_like(u)), u,
                                    atol=1e-12)
 
+    @staticmethod
+    def full_width_cdf(rho, u, v):
+        """The cdf with all 64 nodes on every point in one ``(n, 64)`` pass."""
+        from scipy.special import ndtr, ndtri
+        a, b = np.broadcast_arrays(np.atleast_1d(u), np.atleast_1d(v))
+        x = np.clip(ndtri(np.clip(a, 1e-300, 1.0)), -8.0, 8.0)
+        y = np.clip(ndtri(np.clip(b, 1e-300, 1.0)), -8.0, 8.0)
+        base = ndtr(x) * ndtr(y)
+        nodes, weights = np.polynomial.legendre.leggauss(64)
+        t = (nodes + 1.0) * (rho / 2.0)
+        w = weights * (rho / 2.0)
+        one_minus = 1.0 - t * t
+        expo = -(x[..., None] ** 2 - 2.0 * t * x[..., None] * y[..., None]
+                 + y[..., None] ** 2) / (2.0 * one_minus)
+        base = base + np.tensordot(np.exp(expo) / np.sqrt(one_minus), w,
+                                   axes=([-1], [0])) / (2.0 * math.pi)
+        return np.clip(base, 0.0, 1.0)
+
+    @pytest.mark.parametrize("rho", [0.6, -0.85, 0.3])
+    def test_cdf_row_blocks_match_full_width(self, rho):
+        # Up to R points the oracle runs on the whole input. Past R it runs
+        # on the same R-row slices: a multithreaded BLAS splits one
+        # tensordot between its threads at rows that depend on n, and a row
+        # at a split is summed by another kernel, so one full-width call
+        # agrees only to within a few ulps there.
+        R = maxcorr._GAUSS_CDF_ROWS
+        gen = RngStream(80).generator()
+
+        def sliced(u, v):
+            a, b = (np.ravel(z) for z in np.broadcast_arrays(u, v))
+            parts = [self.full_width_cdf(rho, a[i:i + R], b[i:i + R])
+                     for i in range(0, a.size, R)]
+            return np.concatenate(parts).reshape(np.broadcast_shapes(u.shape, v.shape))
+
+        grid = np.linspace(0.0, 1.0, 101)
+        cases = [gen.random((2, n)) for n in (1, R - 1, R, R + 1, 3 * R + 5)]
+        cases += [(grid[:40, None], grid[None, :40]), (grid[:, None], grid[None, :])]
+        for u, v in cases:
+            got = gaussian_copula_cdf(rho, u, v)
+            assert np.array_equal(got, sliced(u, v))
+            np.testing.assert_allclose(got, self.full_width_cdf(rho, u, v),
+                                       rtol=0, atol=1e-15)
+
     def test_cdf_rejects_nan(self):
         with pytest.raises(ValidationError, match=r"\[0, 1\]"):
             gaussian_copula_cdf(0.5, np.array([np.nan, 0.5]), np.array([0.5, 0.5]))
@@ -346,12 +389,12 @@ class TestGaussian:
         assert ecdf_ks(s, lambda u, v: gaussian_copula_cdf(0.6, u, v)) < 0.01
 
     def test_oracle_at_zero(self):
-        est = gaussian_oracle(0.0, 250_000, 32, RngStream(76))
+        est = estimate_max_corr(sample_gaussian_copula(0.0, 250_000, RngStream(76)), m=32)
         assert est.value <= 0.05
 
     def test_oracle_sign_free(self):
-        plus = gaussian_oracle(0.6, 250_000, 32, RngStream(77))
-        minus = gaussian_oracle(-0.6, 250_000, 32, RngStream(78))
+        plus = estimate_max_corr(sample_gaussian_copula(0.6, 250_000, RngStream(77)), m=32)
+        minus = estimate_max_corr(sample_gaussian_copula(-0.6, 250_000, RngStream(78)), m=32)
         assert abs(plus.value - 0.6) < 0.02
         assert abs(minus.value - 0.6) < 0.02
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mocorr.errors import ValidationError
+from mocorr.extremes import GEVShape, ZetaOverlap
+from mocorr.maxcorr import PowerIndex
 from mocorr.mo import (
     CopulaParams,
     DXiParam,
@@ -65,6 +68,41 @@ class TestSurvival:
         p = MOParams(l1, l2, l12)
         value = mo_cdf(p, x1, x2)
         assert -1e-12 <= value <= 1.0 + 1e-12
+
+
+# Per record field: a valid record, the rule in its message, one finite
+# value outside the domain (None where there is none) and the endpoints
+# the domain includes.
+RECORD_FIELDS = [
+    (MOParams, {"lambda1": 1, "lambda2": 2, "lambda12": 3}, name,
+     "must be positive and finite", 0.0, ())
+    for name in ("lambda1", "lambda2", "lambda12")
+] + [
+    (CopulaParams, {"phi": 0.5, "psi": 0.5}, name, "must lie in [0, 1]", 1.5, (0, 1))
+    for name in ("phi", "psi")
+] + [
+    (DXiParam, {"xi": 0.5}, "xi", "must lie in (0, 1]", 0.0, (1,)),
+    (GEVShape, {"gamma": 0.5}, "gamma", "must be finite", None, ()),
+    (ZetaOverlap, {"zeta": 0.5}, "zeta", "must lie in [0, 1]", -0.25, (0, 1)),
+] + [
+    (PowerIndex, {"k": 1, "ell": 2}, name, "must be nonnegative and finite", -0.5, (0,))
+    for name in ("k", "ell")
+]
+
+
+@pytest.mark.parametrize("record, valid, name, rule, outside, endpoints", RECORD_FIELDS,
+                         ids=[f"{r.__name__}.{n}" for r, _, n, *_ in RECORD_FIELDS])
+def test_record_field_rule(record, valid, name, rule, outside, endpoints):
+    message = f"^{re.escape(f'{name} {rule}')}$"
+    for bad in (math.nan, math.inf, -math.inf, outside):
+        if bad is not None:
+            with pytest.raises(ValidationError, match=message):
+                record(**{**valid, name: bad})
+    for value in endpoints:
+        stored = getattr(record(**{**valid, name: value}), name)
+        assert type(stored) is float and stored == value
+    stored = record(**valid)
+    assert all(type(getattr(stored, key)) is float for key in valid)
 
 
 class TestCopulaParams:
