@@ -95,9 +95,13 @@ def limit_copula_cdf(z: ZetaOverlap, g: GEVShape, x, y):
     return copula_cdf(c, gev_cdf(g, x), gev_cdf(g, y))
 
 
+#: Uniform draws can in principle touch 0; quantile levels are clipped to
+#: this range to keep quantiles finite.
+_LEVEL_CLIP = (1e-300, 1.0 - 1e-16)
+
+
 def _safe_levels(u: np.ndarray) -> np.ndarray:
-    # Uniform draws can in principle touch 0; keep quantiles finite.
-    return np.clip(u, 1e-300, 1.0 - 1e-16)
+    return np.clip(u, *_LEVEL_CLIP)
 
 
 def _limit_pair(g: GEVShape, zeta: float, xyz: np.ndarray):
@@ -214,7 +218,9 @@ def check_moments(h: Functional, g: GEVShape, values: np.ndarray | None = None) 
             f"h={h.name} produced non-finite values at gamma={g.gamma}"
         )
     if values.size >= 10_000:
-        centered = np.abs(values - values.mean()) ** 4
+        centered = values - values.mean()
+        centered *= centered
+        centered *= centered
         total = centered.sum()
         if total > 0 and centered.max() / total > 0.5:
             raise DivergentMomentError(
@@ -276,15 +282,50 @@ def sigma2_db(h: Functional, g: GEVShape, n_mc: int, rng: RngStream) -> tuple[fl
     return var, se
 
 
-def _pair_values(h: Functional, g: GEVShape, zeta: float, xyz: np.ndarray):
-    y1, y2 = _limit_pair(g, zeta, xyz)
-    return (np.asarray(h.evaluate(y1, g.gamma), dtype=float),
-            np.asarray(h.evaluate(y2, g.gamma), dtype=float))
+#: ``_LEVEL_CLIP`` on the Gumbel scale, ``-log(-log q)``.
+_GUMBEL_CLIP = tuple(float(-np.log(-np.log(q))) for q in _LEVEL_CLIP)
+
+
+def _to_gumbel(w: np.ndarray) -> np.ndarray:
+    """``-log(-log w)`` in place: uniforms to standard Gumbel values, 0 to ``-inf``."""
+    with np.errstate(divide="ignore"):
+        np.log(w, out=w)
+        np.negative(w, out=w)
+        np.log(w, out=w)
+    return np.negative(w, out=w)
+
+
+def _pair_values(h: Functional, g: GEVShape, zeta: float, gumbel: np.ndarray):
+    """``(h(Y1), h(Y2))`` at ``zeta`` from an ``(n, 3)`` draw already on the Gumbel scale.
+
+    On that scale the section draw ``max(x**(1/zeta), z**(1/(1-zeta)))``
+    is the shifted maximum ``max(g_x + log zeta, g_z + log1p(-zeta))``,
+    and ``Q_gamma(s) = expm1(gamma*s)/gamma`` is the tail of
+    :func:`gev_quantile`.  ``log_transform`` undoes ``Q_gamma``, so it
+    is ``s`` itself.
+    """
+    with np.errstate(divide="ignore"):
+        # log(0) = -inf keeps the edges exact: zeta = 0 gives g_z, zeta = 1 gives g_x.
+        shift, shared = np.log(zeta), gumbel[:, 2] + np.log1p(-zeta)
+    values = []
+    for col in (gumbel[:, 0], gumbel[:, 1]):
+        s = col + shift
+        np.maximum(s, shared, out=s)
+        np.clip(s, *_GUMBEL_CLIP, out=s)
+        if h.name != "log_transform":
+            if g.gamma != 0.0:
+                s *= g.gamma
+                np.expm1(s, out=s)
+                s /= g.gamma
+            s = np.asarray(h.evaluate(s, g.gamma), dtype=float)
+        values.append(s)
+    return values
 
 
 def _cov_se(h1: np.ndarray, h2: np.ndarray) -> tuple[float, float]:
     n = h1.size
-    prods = (h1 - h1.mean()) * (h2 - h2.mean())
+    prods = h1 - h1.mean()
+    prods *= h2 - h2.mean()
     cov = float(prods.sum() / (n - 1))
     se = float(np.std(prods, ddof=1) / math.sqrt(n))
     return cov, se
@@ -302,7 +343,7 @@ def limit_pair_corr(h: Functional, g: GEVShape, z: ZetaOverlap,
     if int(n_mc) < 4:
         raise ValidationError("n_mc must be >= 4")
     check_moments(h, g)
-    h1, h2 = _pair_values(h, g, z.zeta, draw_uniforms(rng, int(n_mc), 3))
+    h1, h2 = _pair_values(h, g, z.zeta, _to_gumbel(draw_uniforms(rng, int(n_mc), 3)))
     check_moments(h, g, h1)
     chunks = max(2, min(25, h1.size // 2))
     parts = []
@@ -324,18 +365,22 @@ def sigma2_sb(h: Functional, g: GEVShape, zeta_quad: QuadratureSpec = DEFAULT_ZE
     All overlap nodes reuse one set of underlying uniforms (common
     random numbers), so the integrand is smooth in ``zeta`` and the
     quoted integral SE (a triangle-inequality bound) is conservative.
+    The set is mapped to the Gumbel scale once; each node is then two
+    shifted maxima of it (see :func:`_pair_values`).  Raises
+    :class:`EvaluationError` when a variance comes out negative or
+    non-finite.
     """
     if rng is None:
         raise ValidationError("sigma2_sb requires an RngStream")
     check_moments(h, g)
     db, db_se = sigma2_db(h, g, int(n_mc), rng.child(1))
-    xyz = draw_uniforms(rng.child(0), int(n_mc), 3)
+    gumbel = _to_gumbel(draw_uniforms(rng.child(0), int(n_mc), 3))
     nodes, weights = zeta_quad.axis_nodes()
     curve = []
     total = 0.0
     total_se = 0.0
     for zeta, w in zip(nodes, weights):
-        h1, h2 = _pair_values(h, g, float(zeta), xyz)
+        h1, h2 = _pair_values(h, g, float(zeta), gumbel)
         cov, se = _cov_se(h1, h2)
         curve.append((float(zeta), cov, se))
         total += w * cov
@@ -343,6 +388,12 @@ def sigma2_sb(h: Functional, g: GEVShape, zeta_quad: QuadratureSpec = DEFAULT_ZE
     sb = 2.0 * total
     sb_se = 2.0 * total_se
     degenerate = not db > 0.0
+    # The report's own check would call this invalid input; the cause is numerical.
+    if not all(map(math.isfinite, (db, db_se, sb, sb_se))) or (
+            not degenerate and sb < -1e-12):
+        raise EvaluationError(
+            f"Monte Carlo variances are negative or non-finite at gamma={g.gamma:g}: "
+            f"sigma2_sb = {sb:.6g}, sigma2_db = {db:.6g}")
     ratio = float("nan") if degenerate else sb / db
     return VarianceReport(
         sigma2_db=db,
@@ -405,7 +456,17 @@ def _pareto_scaling(r: int, alpha):
     if alpha is None or not math.isfinite(float(alpha)) or float(alpha) <= 0:
         raise ValidationError("pareto requires alpha > 0")
     alpha = float(alpha)
-    return 1.0 / alpha, r ** (1.0 / alpha), 0.0
+    try:
+        a_r = r ** (1.0 / alpha)
+    except OverflowError:
+        a_r = math.inf
+    return 1.0 / alpha, a_r, 0.0
+
+
+def _pareto_draw(gen, size, alpha):
+    x = gen.pareto(alpha, size)
+    x += 1.0
+    return x
 
 
 #: Per base distribution: one chunk of the iid sequence,
@@ -416,7 +477,7 @@ _BASE = {
             lambda r, alpha: (0.0, 1.0, math.log(r))),
     "uniform": (lambda gen, size, alpha: gen.random(size),
                 lambda r, alpha: (-1.0, 1.0 / r, 1.0)),
-    "pareto": (lambda gen, size, alpha: gen.pareto(alpha, size) + 1.0, _pareto_scaling),
+    "pareto": (_pareto_draw, _pareto_scaling),
     "gumbel": (lambda gen, size, alpha: gen.gumbel(size=size),
                lambda r, alpha: (0.0, 1.0, math.log(r))),
 }
@@ -428,7 +489,8 @@ def doa_scaling(dist: str, r: int, alpha: float | None = None) -> tuple[float, f
     """Classical normalizing constants ``(gamma, a_r, b_r)`` for block size r.
 
     exp(1): (0, 1, log r); uniform: (-1, 1/r, 1); pareto(alpha):
-    (1/alpha, r**(1/alpha), 0); gumbel: (0, 1, log r), exact for all r.
+    (1/alpha, r**(1/alpha), 0), with ``a_r = inf`` where that overflows a
+    float; gumbel: (0, 1, log r), exact for all r.
     The uniform and pareto rows target the classical Weibull/Frechet
     forms, affine relabelings of the standard GEV.
     """
@@ -469,11 +531,12 @@ def sliding_max(x: np.ndarray, r: int) -> np.ndarray:
     if r == 1:
         return x.copy()
     pad = (-n) % r
-    padded = np.concatenate([x, np.full(pad, -np.inf)])
-    blocks = padded.reshape(-1, r)
+    blocks = (np.concatenate([x, np.full(pad, -np.inf)]) if pad else x).reshape(-1, r)
     prefix = np.maximum.accumulate(blocks, axis=1).ravel()
-    suffix = np.maximum.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
-    return np.maximum(suffix[: n - r + 1], prefix[r - 1: n])
+    # Written through a reversed view, so the suffix maxima come out in order.
+    suffix = np.empty_like(blocks)
+    np.maximum.accumulate(blocks[:, ::-1], axis=1, out=suffix[:, ::-1])
+    return np.maximum(suffix.ravel()[: n - r + 1], prefix[r - 1: n])
 
 
 def _lag_window_estimate(y: np.ndarray, r: int) -> float:
@@ -552,6 +615,9 @@ def block_maxima_simulate(dist: str, r: int, n_blocks: int, mode: str,
     r, n_blocks = int(r), int(n_blocks)
     g = GEVShape(gamma)
     check_moments(h, g)
+    if not math.isfinite(a_r):
+        raise EvaluationError(
+            f"the normalizing constant a_r = r**(1/alpha) overflows at r={r}, alpha={alpha:g}")
     x = draw_iid(rng, r * n_blocks, lambda gen, size: _BASE[dist][0](gen, size, alpha))
 
     sliding = mode == "sliding"

@@ -365,6 +365,16 @@ class TestVariance:
         assert code == 2
         assert "numerical failure" in err
 
+    def test_negative_mc_variance_is_a_numerical_failure(self, capsys):
+        # Far out in gamma < 0 the Monte Carlo sliding variance comes out
+        # negative: a numerical failure (exit 2), not invalid input (exit 1).
+        code, out, err = run_cli(
+            capsys, "variance", "--h", "identity", "--gamma", "-50",
+            "--n-mc", "2000", "--zeta-nodes", "4")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("numerical failure: Monte Carlo variances are negative")
+
     def test_indicator_requires_threshold(self, capsys):
         code, _, err = run_cli(
             capsys, "variance", "--h", "indicator", "--gamma", "0",
@@ -513,6 +523,20 @@ class TestBlocksim:
             "100", "--n-blocks", "100", "--mode", "disjoint")
         assert code == 2
         assert "numerical failure" in err
+
+    @pytest.mark.parametrize("h,message", [
+        (["--h", "identity"], "fourth moment of h=identity diverges"),
+        (["--h", "indicator", "--threshold", "1"], "a_r = r**(1/alpha) overflows"),
+    ])
+    def test_pareto_scaling_overflow(self, capsys, h, message):
+        # r**(1/alpha) is past the float range at alpha = 1e-3; it used to
+        # end in an OverflowError traceback.
+        code, out, err = run_cli(
+            capsys, "blocksim", "--dist", "pareto", "--alpha", "1e-3", "--r", "10",
+            "--n-blocks", "100", *h)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("numerical failure: ") and message in err
 
     def test_pareto_requires_alpha(self, capsys):
         code, _, err = run_cli(

@@ -1,5 +1,6 @@
 import decimal
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -30,9 +31,9 @@ from mocorr.extremes import (
     sliding_max,
 )
 from mocorr.maxcorr import estimate_max_corr
-from mocorr.mo import PairSample
+from mocorr.mo import PairSample, copula_pair_from_uniforms
 from mocorr.numerics import QuadratureSpec, ecdf_ks
-from mocorr.rng import RngStream, draw_iid
+from mocorr.rng import RngStream, draw_iid, draw_uniforms
 
 GUMBEL_VAR = math.pi ** 2 / 6.0
 
@@ -259,6 +260,57 @@ class TestOverlapCovariance:
             assert abs(cov - indicator_cov_exact(ZetaOverlap(zeta), g, t)) <= 3 * se
 
 
+def _old_map_values(h, g, zeta, xyz):
+    """``(h(Y1), h(Y2))`` through the copula sampler and ``gev_quantile``: the oracle."""
+    u, v = copula_pair_from_uniforms(*xyz.T, 1.0 - zeta, 1.0 - zeta)
+    return [np.asarray(h.evaluate(gev_quantile(g, extremes._safe_levels(w)), g.gamma),
+                       dtype=float) for w in (u, v)]
+
+
+def _assert_close(new, old):
+    # 1e-10 relative, or 1e-12 absolute near 0.
+    assert abs(new - old) <= max(1e-10 * abs(old), 1e-12), (new, old)
+
+
+class TestGumbelEngine:
+    """The overlap integrand on the Gumbel scale against the uniform-scale map."""
+
+    @pytest.mark.parametrize("h,gamma", [
+        (Functional.identity(), 0.0), (Functional.identity(), 0.2),
+        (Functional.identity(), -0.25), (Functional.square(), 0.1),
+        (Functional.log_transform(), 0.2), (Functional.indicator(1.5), 0.5),
+    ])
+    def test_cov_matches_old_map_at_every_node(self, h, gamma):
+        g = GEVShape(gamma)
+        xyz = draw_uniforms(RngStream(96), 50_000, 3)
+        gumbel = extremes._to_gumbel(xyz.copy())
+        nodes, _ = QuadratureSpec(8, 1).axis_nodes()
+        for zeta in nodes:
+            new = extremes._cov_se(*extremes._pair_values(h, g, float(zeta), gumbel))
+            old = extremes._cov_se(*_old_map_values(h, g, float(zeta), xyz))
+            for a, b in zip(new, old):
+                _assert_close(a, b)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.2, -0.25])
+    @pytest.mark.parametrize("zeta", [0.0, 0.3, 1.0])
+    def test_zero_uniform_is_clipped_like_the_old_map(self, zeta, gamma):
+        h, g = Functional.identity(), GEVShape(gamma)
+        xyz = draw_uniforms(RngStream(97), 8, 3)
+        xyz[0] = 0.0
+        xyz[1, 0] = xyz[2, 2] = xyz[3, 1] = 0.0
+        new = extremes._pair_values(h, g, zeta, extremes._to_gumbel(xyz.copy()))
+        for a, b in zip(new, _old_map_values(h, g, zeta, xyz)):
+            assert np.all(np.isfinite(a))
+            np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("zeta", [0.0, 1.0])
+    def test_edges_raise_no_runtime_warning(self, zeta):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            limit_pair_corr(Functional.identity(), GEVShape(0.2), ZetaOverlap(zeta),
+                            1000, RngStream(98))
+
+
 class TestSlidingVariance:
     def test_zeta_quadrature_normalization(self):
         nodes, weights = DEFAULT_ZETA_QUAD.axis_nodes()
@@ -334,6 +386,13 @@ class TestSlidingVariance:
         assert math.isnan(report.ratio)
         assert abs(report.sigma2_sb) <= 1e-12
 
+    def test_negative_mc_variance_is_an_evaluation_error(self):
+        # Far out in gamma < 0 the sliding estimate is dominated by a few
+        # huge values and comes out negative.
+        with pytest.raises(EvaluationError, match="negative or non-finite"):
+            sigma2_sb(Functional.identity(), GEVShape(-50.0), QuadratureSpec(4, 1),
+                      2000, RngStream(20240601))
+
     def test_divergent_moments_raise(self):
         with pytest.raises(DivergentMomentError):
             sigma2_sb(Functional.square(), GEVShape(0.5), FAST_ZETA_QUAD,
@@ -358,6 +417,11 @@ class TestDoaScaling:
 
     def test_registry(self):
         assert set(DISTRIBUTIONS) == {"exp", "uniform", "pareto", "gumbel"}
+
+    def test_pareto_overflow_is_infinite(self):
+        # 10**1000 is past the float range: a_r is inf, not an OverflowError.
+        assert doa_scaling("pareto", 10, 1e-3) == (1000.0, math.inf, 0.0)
+        assert doa_scaling("pareto", 1, 1e-3) == (1000.0, 1.0, 0.0)
 
     def test_validation(self):
         with pytest.raises(ValidationError):
