@@ -6,6 +6,8 @@ for the maximal correlation of any bivariate sample, and the
 sliding-vs-disjoint block variance comparison for extreme value limits.
 """
 
+import types
+
 from .errors import (
     DivergentMomentError,
     EvaluationError,
@@ -77,62 +79,6 @@ FAMILIES = tuple(FAMILY_TABLE)
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BinnedOperator",
-    "BlockSimResult",
-    "CopulaParams",
-    "DEFAULT_SEED",
-    "DISTRIBUTIONS",
-    "DivergentMomentError",
-    "DXiParam",
-    "EvaluationError",
-    "FAMILIES",
-    "Functional",
-    "GEVShape",
-    "MaxCorrEstimate",
-    "MocorrError",
-    "MOParams",
-    "PairSample",
-    "PowerIndex",
-    "QuadratureSpec",
-    "RngStream",
-    "ValidationError",
-    "VarianceReport",
-    "ZetaOverlap",
-    "battery_report",
-    "bin_pairs",
-    "block_maxima_simulate",
-    "check_moments",
-    "copula_cdf",
-    "doa_scaling",
-    "ecdf_ks",
-    "estimate_max_corr",
-    "gaussian_copula_cdf",
-    "gev_cdf",
-    "gev_quantile",
-    "limit_copula_cdf",
-    "limit_pair_corr",
-    "max_corr_closed",
-    "max_corr_from_rates",
-    "max_stability_defect",
-    "mo_cdf",
-    "mo_marginal_survival",
-    "mo_survival",
-    "mo_to_copula",
-    "power_corr",
-    "power_cov",
-    "power_transform",
-    "quad_2d",
-    "run_battery",
-    "sample_copula",
-    "sample_d_xi",
-    "sample_gaussian_copula",
-    "sample_limit_pair",
-    "sample_mo",
-    "second_singular_value",
-    "sigma2_db",
-    "sigma2_sb",
-    "sigma2_sb_indicator_exact",
-    "sliding_max",
-    "write_sample_csv",
-]
+# Every public name imported above that is not a submodule.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, types.ModuleType))

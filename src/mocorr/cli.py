@@ -17,6 +17,7 @@ Exit codes: 0 success, 1 invalid arguments, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 import numpy as np
@@ -30,6 +31,11 @@ from .serialize import _csv_chunks, canonical_json, write_csv
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern has no exponent: "-5e-1" would read as a flag.
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     # argparse exits with status 2 on bad flags; route through the
     # validation path instead so 2 stays reserved for numerical failures.
     def error(self, message):

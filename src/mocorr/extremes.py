@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import DivergentMomentError, EvaluationError, ValidationError, _check_floats
-from .mo import CopulaParams, PairSample, _check_n, copula_cdf, copula_pair_from_uniforms
+from .mo import CopulaParams, PairSample, _check_n, copula_cdf
 from .numerics import QuadratureSpec
 from .rng import RngStream, draw_iid, draw_uniforms
 
@@ -74,18 +74,39 @@ def gev_cdf(g: GEVShape, x):
     return out if out.ndim else float(out)
 
 
+#: Uniform draws can in principle touch 0 (Gumbel value ``-inf``); Gumbel
+#: values are clipped to those of the levels ``1e-300`` and ``1 - 1e-16``
+#: to keep quantiles finite.
+_GUMBEL_CLIP = tuple(float(-np.log(-np.log(q))) for q in (1e-300, 1.0 - 1e-16))
+
+
+def _to_gumbel(w: np.ndarray) -> np.ndarray:
+    """``-log(-log w)`` in place: uniforms to standard Gumbel values, 0 to ``-inf``."""
+    with np.errstate(divide="ignore"):
+        np.log(w, out=w)
+        np.negative(w, out=w)
+        np.log(w, out=w)
+    return np.negative(w, out=w)
+
+
+def _q_gamma(s: np.ndarray, gamma: float) -> np.ndarray:
+    """GEV quantile ``expm1(gamma*s)/gamma`` of Gumbel values ``s`` in place; ``s`` at gamma=0."""
+    if gamma != 0.0:
+        s *= gamma
+        # The expm1 form is stable as gamma -> 0; an overflow gives inf, the float limit.
+        with np.errstate(over="ignore"):
+            np.expm1(s, out=s)
+        s /= gamma
+    return s
+
+
 def gev_quantile(g: GEVShape, p):
     """Inverse of :func:`gev_cdf` on (0, 1)."""
-    q = np.asarray(p, dtype=float)
+    q = np.array(p, dtype=float)
     # Written so that NaN fails the test too.
     if not (np.all(q > 0.0) and np.all(q < 1.0)):
         raise ValidationError("quantile levels must lie in (0, 1)")
-    logs = -np.log(q)
-    if g.gamma == 0.0:
-        out = -np.log(logs)
-    else:
-        # expm1 form of (logs**(-gamma) - 1)/gamma: stable as gamma -> 0
-        out = np.expm1(-g.gamma * np.log(logs)) / g.gamma
+    out = _q_gamma(_to_gumbel(q), g.gamma)
     return out if out.ndim else float(out)
 
 
@@ -95,27 +116,15 @@ def limit_copula_cdf(z: ZetaOverlap, g: GEVShape, x, y):
     return copula_cdf(c, gev_cdf(g, x), gev_cdf(g, y))
 
 
-#: Uniform draws can in principle touch 0; quantile levels are clipped to
-#: this range to keep quantiles finite.
-_LEVEL_CLIP = (1e-300, 1.0 - 1e-16)
-
-
-def _safe_levels(u: np.ndarray) -> np.ndarray:
-    return np.clip(u, *_LEVEL_CLIP)
-
-
-def _limit_pair(g: GEVShape, zeta: float, xyz: np.ndarray):
-    """Overlap-limit pair ``(Y1, Y2)`` at ``zeta`` from ``(n, 3)`` uniforms."""
-    phi = 1.0 - zeta
-    u, v = copula_pair_from_uniforms(*xyz.T, phi, phi)
-    return gev_quantile(g, _safe_levels(u)), gev_quantile(g, _safe_levels(v))
-
-
 def sample_limit_pair(z: ZetaOverlap, g: GEVShape, n: int, rng: RngStream) -> PairSample:
-    """Draw ``n`` overlap-limit pairs on the GEV scale."""
-    y1, y2 = _limit_pair(g, z.zeta, draw_uniforms(rng, _check_n(n), 3))
-    return PairSample(np.column_stack([y1, y2]), "limit_gev",
-                      {"zeta": z.zeta, "gamma": g.gamma}, rng)
+    """Draw ``n`` overlap-limit pairs on the GEV scale; a float overflow is an EvaluationError."""
+    y1, y2 = _pair_values(Functional("identity"), g, z.zeta,
+                          _to_gumbel(draw_uniforms(rng, _check_n(n), 3)))
+    pairs = np.column_stack([y1, y2])
+    if not np.all(np.isfinite(pairs)):
+        raise EvaluationError(
+            f"a limit_gev quantile overflows a float at gamma={g.gamma:g}")
+    return PairSample(pairs, "limit_gev", {"zeta": z.zeta, "gamma": g.gamma}, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +280,7 @@ def sigma2_db(h: Functional, g: GEVShape, n_mc: int, rng: RngStream) -> tuple[fl
     if int(n_mc) < 2:
         raise ValidationError("n_mc must be >= 2")
     check_moments(h, g)
-    u = draw_uniforms(rng, int(n_mc), 1).ravel()
-    y = gev_quantile(g, _safe_levels(u))
-    values = np.asarray(h.evaluate(y, g.gamma), dtype=float)
+    values = _h_values(h, g, _to_gumbel(draw_uniforms(rng, int(n_mc), 1).ravel()))
     check_moments(h, g, values)
     var = float(np.var(values, ddof=1))
     centered = values - values.mean()
@@ -282,27 +289,22 @@ def sigma2_db(h: Functional, g: GEVShape, n_mc: int, rng: RngStream) -> tuple[fl
     return var, se
 
 
-#: ``_LEVEL_CLIP`` on the Gumbel scale, ``-log(-log q)``.
-_GUMBEL_CLIP = tuple(float(-np.log(-np.log(q))) for q in _LEVEL_CLIP)
+def _h_values(h: Functional, g: GEVShape, s: np.ndarray) -> np.ndarray:
+    """``h(Q_gamma(s))`` from Gumbel values ``s``, clipped to ``_GUMBEL_CLIP`` in place.
 
-
-def _to_gumbel(w: np.ndarray) -> np.ndarray:
-    """``-log(-log w)`` in place: uniforms to standard Gumbel values, 0 to ``-inf``."""
-    with np.errstate(divide="ignore"):
-        np.log(w, out=w)
-        np.negative(w, out=w)
-        np.log(w, out=w)
-    return np.negative(w, out=w)
+    ``log_transform`` undoes ``Q_gamma``, so it is ``s`` itself.
+    """
+    np.clip(s, *_GUMBEL_CLIP, out=s)
+    if h.name == "log_transform":
+        return s
+    return np.asarray(h.evaluate(_q_gamma(s, g.gamma), g.gamma), dtype=float)
 
 
 def _pair_values(h: Functional, g: GEVShape, zeta: float, gumbel: np.ndarray):
     """``(h(Y1), h(Y2))`` at ``zeta`` from an ``(n, 3)`` draw already on the Gumbel scale.
 
     On that scale the section draw ``max(x**(1/zeta), z**(1/(1-zeta)))``
-    is the shifted maximum ``max(g_x + log zeta, g_z + log1p(-zeta))``,
-    and ``Q_gamma(s) = expm1(gamma*s)/gamma`` is the tail of
-    :func:`gev_quantile`.  ``log_transform`` undoes ``Q_gamma``, so it
-    is ``s`` itself.
+    is the shifted maximum ``max(g_x + log zeta, g_z + log1p(-zeta))``.
     """
     with np.errstate(divide="ignore"):
         # log(0) = -inf keeps the edges exact: zeta = 0 gives g_z, zeta = 1 gives g_x.
@@ -311,14 +313,7 @@ def _pair_values(h: Functional, g: GEVShape, zeta: float, gumbel: np.ndarray):
     for col in (gumbel[:, 0], gumbel[:, 1]):
         s = col + shift
         np.maximum(s, shared, out=s)
-        np.clip(s, *_GUMBEL_CLIP, out=s)
-        if h.name != "log_transform":
-            if g.gamma != 0.0:
-                s *= g.gamma
-                np.expm1(s, out=s)
-                s /= g.gamma
-            s = np.asarray(h.evaluate(s, g.gamma), dtype=float)
-        values.append(s)
+        values.append(_h_values(h, g, s))
     return values
 
 
@@ -613,6 +608,8 @@ def block_maxima_simulate(dist: str, r: int, n_blocks: int, mode: str,
         raise ValidationError("mode must be 'disjoint' or 'sliding'")
     gamma, a_r, b_r = _block_scaling(dist, r, n_blocks, alpha)
     r, n_blocks = int(r), int(n_blocks)
+    if not math.isfinite(gamma):
+        raise EvaluationError(f"the shape gamma = 1/alpha overflows at alpha={alpha:g}")
     g = GEVShape(gamma)
     check_moments(h, g)
     if not math.isfinite(a_r):

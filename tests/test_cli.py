@@ -87,6 +87,18 @@ class TestSample:
         assert code == 1
         assert "--xi" in err
 
+    def test_limit_gev_overflow_is_a_numerical_failure(self, tmp_path, capsys):
+        # expm1(60*s) overflows for the Gumbel values s above 11.83, about
+        # 15 in a million; it used to end in "pair coordinates must be finite".
+        path = tmp_path / "x.csv"
+        code, out, err = run_cli(
+            capsys, "sample", "--family", "limit_gev", "--zeta", "0.3", "--gamma", "60",
+            "-n", "1000000", "--out", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("numerical failure: ") and "gamma=60" in err
+        assert not path.exists()
+
     def test_unwritable_out_path(self, tmp_path, capsys):
         code, _, err = run_cli(
             capsys, "sample", "--family", "copula", "--phi", "0.5", "--psi",
@@ -332,6 +344,13 @@ class TestMaxcorr:
         assert payload["family"] == "limit_gev"
         assert payload["params"] == {"zeta": 0.3, "gamma": -1.5}
 
+    def test_limit_gev_overflow_is_a_numerical_failure(self, capsys):
+        code, out, err = run_cli(
+            capsys, "maxcorr", "--family", "limit_gev", "--zeta", "0.3", "--gamma", "60")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("numerical failure: ") and "gamma=60" in err
+
     def test_insufficient_sample(self, capsys):
         code, _, err = run_cli(
             capsys, "maxcorr", "--family", "copula", "--phi", "0.5", "--psi",
@@ -350,6 +369,22 @@ class TestVariance:
         assert payload["sigma2_sb"] <= payload["sigma2_db"]
         assert abs(payload["sigma2_db"] - math.pi ** 2 / 6) < 0.05
         assert "inequality check: pass" in err
+
+    @pytest.mark.parametrize("argv", [
+        # The quantile overflows to inf, which the indicator maps to 1;
+        # default sizes, so that some Gumbel values pass 709.78/60.
+        ["--h", "indicator", "--threshold", "1.5", "--gamma", "60"],
+        # 1 + gamma*x rounds to 0 at the clipped levels; log_transform is
+        # the Gumbel value itself and never forms it.
+        ["--h", "log-transform", "--gamma", "50", "--n-mc", "2000", "--zeta-nodes", "4"],
+    ], ids=["indicator", "log-transform"])
+    def test_large_gamma_passes_without_warnings(self, argv, capsys):
+        # RuntimeWarning is an error under the suite's warning filter.
+        code, out, err = run_cli(capsys, "variance", *argv)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["sigma2_sb"] <= payload["sigma2_db"]
+        assert err == "inequality check: pass (sliding <= disjoint within 3 standard errors)\n"
 
     def test_const_degenerate(self, capsys):
         code, _, err = run_cli(
@@ -538,6 +573,18 @@ class TestBlocksim:
         assert out == ""
         assert err.startswith("numerical failure: ") and message in err
 
+    @pytest.mark.parametrize("h", [[], ["--h", "indicator", "--threshold", "1"]],
+                             ids=["identity", "indicator"])
+    def test_pareto_shape_overflow(self, capsys, h):
+        # gamma = 1/alpha is past the float range; it used to be refused as
+        # invalid input ("gamma must be finite").
+        code, out, err = run_cli(
+            capsys, "blocksim", "--dist", "pareto", "--alpha", "1e-320", "--r", "10",
+            "--n-blocks", "100", *h)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("numerical failure: ") and "Traceback" not in err
+
     def test_pareto_requires_alpha(self, capsys):
         code, _, err = run_cli(
             capsys, "blocksim", "--dist", "pareto", "--r", "10", "--n-blocks",
@@ -591,6 +638,21 @@ class TestParsing:
         assert code == 1
         assert "--format" in err
         assert not (tmp_path / "out").exists()
+
+    def test_negative_numbers_in_exponent_form(self, tmp_path, capsys):
+        mc = ["--n-mc", "2000", "--zeta-nodes", "4"]
+        results = [run_cli(capsys, "variance", "--h", "identity", "--gamma", gamma, *mc)
+                   for gamma in ("-5e-1", "-0.5")]
+        assert results[0][0] == 0
+        assert results[0] == results[1]
+        code, _, err = run_cli(capsys, "cdf-eval", "--family", "copula", "--phi", "0.3",
+                               "--psi", "0.4", "--at", "-2e0", "1")
+        assert code == 1
+        assert "unit square" in err
+        code, _, err = run_cli(capsys, "sample", "--family", "limit_gev", "--zeta", "0.3",
+                               "--gamma", "-2.5e-1", "-n", "1000",
+                               "--out", str(tmp_path / "x.csv"))
+        assert code == 0, err
 
     def test_console_script_wired(self):
         proc = subprocess.run(

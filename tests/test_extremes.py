@@ -72,6 +72,22 @@ class TestGev:
         with pytest.raises(ValidationError, match=r"\(0, 1\)"):
             gev_quantile(GEVShape(0.5), np.array([0.2, np.nan, 0.7]))
 
+    @pytest.mark.parametrize("gamma", [0.0, 1e-9, 0.2, -0.25, -3.0, 5.0])
+    def test_quantile_matches_the_direct_expression(self, gamma):
+        # The Gumbel-scale route performs the same float operations in the
+        # same order as the direct expression, so the bits agree.
+        q = np.concatenate([draw_uniforms(RngStream(99), 200_000, 1).ravel(),
+                            [5e-324, 1e-300, 0.5, 1.0 - 2.0 ** -53]])
+        logs = -np.log(q)
+        expected = -np.log(logs) if gamma == 0.0 else np.expm1(-gamma * np.log(logs)) / gamma
+        assert np.array_equal(gev_quantile(GEVShape(gamma), q), expected)
+
+    def test_quantile_leaves_the_callers_array_alone(self):
+        for q in (np.array(0.3), np.array([0.1, 0.5, 0.9])):
+            before = q.copy()
+            gev_quantile(GEVShape(0.2), q)
+            np.testing.assert_array_equal(q, before)
+
     def test_cdf_monotone(self):
         x = np.linspace(-4, 6, 200)
         for gamma in (-0.5, 0.0, 1.0):
@@ -108,6 +124,11 @@ class TestLimitCopula:
 
 
 class TestSampleLimitPair:
+    def test_overflow_is_a_numerical_failure(self):
+        # expm1(200*s) overflows for Gumbel values s above 3.55, about 3% of them.
+        with pytest.raises(EvaluationError, match="gamma=200"):
+            sample_limit_pair(ZetaOverlap(0.3), GEVShape(200.0), 1000, RngStream(79))
+
     def test_full_overlap_equal_coordinates(self):
         s = sample_limit_pair(ZetaOverlap(0.0), GEVShape(0.5), 1000, RngStream(80))
         np.testing.assert_allclose(s.pairs[:, 0], s.pairs[:, 1], rtol=1e-12)
@@ -146,7 +167,9 @@ class TestFunctionals:
     def test_log_transform_gumbelizes(self):
         # after the log map every shape shares the Gumbel variance
         h = Functional.log_transform()
-        for gamma in (-0.25, 0.0, 0.5, 1.0):
+        # At gamma = 50 and -3, 1 + gamma*x rounds to 0 at the clipped
+        # levels; on the Gumbel scale log_transform never forms it.
+        for gamma in (-3.0, -0.25, 0.0, 0.5, 1.0, 50.0):
             var, se = sigma2_db(h, GEVShape(gamma), 400_000, RngStream(83))
             assert abs(var - GUMBEL_VAR) <= 3 * se
 
@@ -263,7 +286,7 @@ class TestOverlapCovariance:
 def _old_map_values(h, g, zeta, xyz):
     """``(h(Y1), h(Y2))`` through the copula sampler and ``gev_quantile``: the oracle."""
     u, v = copula_pair_from_uniforms(*xyz.T, 1.0 - zeta, 1.0 - zeta)
-    return [np.asarray(h.evaluate(gev_quantile(g, extremes._safe_levels(w)), g.gamma),
+    return [np.asarray(h.evaluate(gev_quantile(g, np.clip(w, 1e-300, 1 - 1e-16)), g.gamma),
                        dtype=float) for w in (u, v)]
 
 
@@ -291,7 +314,7 @@ class TestGumbelEngine:
             for a, b in zip(new, old):
                 _assert_close(a, b)
 
-    @pytest.mark.parametrize("gamma", [0.0, 0.2, -0.25])
+    @pytest.mark.parametrize("gamma", [0.0, 0.2, -0.25, 0.5])
     @pytest.mark.parametrize("zeta", [0.0, 0.3, 1.0])
     def test_zero_uniform_is_clipped_like_the_old_map(self, zeta, gamma):
         h, g = Functional.identity(), GEVShape(gamma)
@@ -302,6 +325,34 @@ class TestGumbelEngine:
         for a, b in zip(new, _old_map_values(h, g, zeta, xyz)):
             assert np.all(np.isfinite(a))
             np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.2, -0.25, 0.5])
+    @pytest.mark.parametrize("zeta", [0.0, 0.3, 1.0])
+    def test_sampler_matches_old_map(self, zeta, gamma):
+        g = GEVShape(gamma)
+        new = sample_limit_pair(ZetaOverlap(zeta), g, 50_000, RngStream(99)).pairs
+        old = np.column_stack(_old_map_values(Functional.identity(), g, zeta,
+                                              draw_uniforms(RngStream(99), 50_000, 3)))
+        if zeta in (0.0, 1.0):
+            # One column passes through the section map unchanged.
+            np.testing.assert_array_equal(new, old)
+        else:
+            assert np.all(np.abs(new - old) <= np.maximum(1e-10 * np.abs(old), 1e-12))
+
+    @pytest.mark.parametrize("h,gamma", [
+        (h, gamma) for h in (Functional.identity(), Functional.square(),
+                             Functional.indicator(1.5), Functional.const())
+        for gamma in (0.0, 0.2, -0.25) if h.tail_order * gamma < 0.25])
+    def test_sigma2_db_matches_old_map(self, h, gamma):
+        # Clipping on the Gumbel scale is clipping the levels, mapped.
+        g = GEVShape(gamma)
+        u = draw_uniforms(RngStream(99).child(1), 50_000, 1).ravel()
+        values = np.asarray(h.evaluate(gev_quantile(g, np.clip(u, 1e-300, 1 - 1e-16)),
+                                       gamma), dtype=float)
+        var = float(np.var(values, ddof=1))
+        m4 = float(np.mean((values - values.mean()) ** 4))
+        se = math.sqrt(max(m4 - var * var, 0.0) / values.size)
+        assert sigma2_db(h, g, 50_000, RngStream(99).child(1)) == (var, se)
 
     @pytest.mark.parametrize("zeta", [0.0, 1.0])
     def test_edges_raise_no_runtime_warning(self, zeta):
