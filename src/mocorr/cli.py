@@ -151,16 +151,10 @@ def cmd_corr(args: argparse.Namespace) -> int:
 
 def cmd_maxcorr(args: argparse.Namespace) -> int:
     family, params = _family_params(args)
-    sample = family.sample(params, args.n, RngStream(args.seed))
-    if family.to_copula is not None:
-        # The estimator expects copula-scale input, which can lie outside
-        # the family's own support (limit_gev with gamma < -1); the
-        # report below keeps the family's name.
-        sample = mo.PairSample(pairs=family.to_copula(params, sample.pairs),
-                               family="copula", params=sample.params, seed=sample.seed)
+    # Binned as it is drawn: only one RNG chunk of pairs is held at a time.
+    sample = mo.pair_chunks(args.family, params, args.n, RngStream(args.seed))
     report = maxcorr.estimate_max_corr(sample, m=args.m).to_report(
         closed_form=family.max_corr(params))
-    report["family"] = args.family
     _emit(report, args.out)
     return 0
 

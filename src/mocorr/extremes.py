@@ -53,16 +53,23 @@ class ZetaOverlap:
         _check_floats(self, ("zeta",), lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")
 
 
+#: The smallest normal float.  Below it ``gamma * x`` loses the digits of
+#: ``x`` (a subnormal has fewer than 53 bits), while such a ``gamma`` is
+#: the Gumbel law to within the float precision: it is evaluated as 0.
+_GAMMA_TINY = 2.2250738585072014e-308
+
+
 def gev_cdf(g: GEVShape, x):
     """GEV cdf ``exp(-(1 + gamma*x)**(-1/gamma))`` (Gumbel at gamma=0).
 
     Outside the support the cdf continues with 0 below a lower endpoint
-    (gamma > 0) and 1 above an upper endpoint (gamma < 0).
+    (gamma > 0) and 1 above an upper endpoint (gamma < 0).  A subnormal
+    ``gamma`` is the Gumbel case.
     """
     a = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(a)):
         raise ValidationError("x must be finite")
-    if g.gamma == 0.0:
+    if abs(g.gamma) < _GAMMA_TINY:
         out = np.exp(-np.exp(-a))
         return out if out.ndim else float(out)
     w = g.gamma * a
@@ -90,8 +97,11 @@ def _to_gumbel(w: np.ndarray) -> np.ndarray:
 
 
 def _q_gamma(s: np.ndarray, gamma: float) -> np.ndarray:
-    """GEV quantile ``expm1(gamma*s)/gamma`` of Gumbel values ``s`` in place; ``s`` at gamma=0."""
-    if gamma != 0.0:
+    """GEV quantile ``expm1(gamma*s)/gamma`` of Gumbel values ``s`` in place.
+
+    ``s`` itself at gamma = 0 and at a subnormal gamma (see ``_GAMMA_TINY``).
+    """
+    if abs(gamma) >= _GAMMA_TINY:
         s *= gamma
         # The expm1 form is stable as gamma -> 0; an overflow gives inf, the float limit.
         with np.errstate(over="ignore"):
@@ -116,14 +126,21 @@ def limit_copula_cdf(z: ZetaOverlap, g: GEVShape, x, y):
     return copula_cdf(c, gev_cdf(g, x), gev_cdf(g, y))
 
 
-def sample_limit_pair(z: ZetaOverlap, g: GEVShape, n: int, rng: RngStream) -> PairSample:
-    """Draw ``n`` overlap-limit pairs on the GEV scale; a float overflow is an EvaluationError."""
+def _limit_pair_chunk(z: ZetaOverlap, g: GEVShape, gen: np.random.Generator,
+                      size: int) -> np.ndarray:
+    """One chunk of :func:`sample_limit_pair`; a float overflow is an EvaluationError."""
     y1, y2 = _pair_values(Functional("identity"), g, z.zeta,
-                          _to_gumbel(draw_uniforms(rng, _check_n(n), 3)))
+                          _to_gumbel(gen.random((size, 3))))
     pairs = np.column_stack([y1, y2])
     if not np.all(np.isfinite(pairs)):
         raise EvaluationError(
             f"a limit_gev quantile overflows a float at gamma={g.gamma:g}")
+    return pairs
+
+
+def sample_limit_pair(z: ZetaOverlap, g: GEVShape, n: int, rng: RngStream) -> PairSample:
+    """Draw ``n`` overlap-limit pairs on the GEV scale; a float overflow is an EvaluationError."""
+    pairs = draw_iid(rng, _check_n(n), lambda gen, size: _limit_pair_chunk(z, g, gen, size))
     return PairSample(pairs, "limit_gev", {"zeta": z.zeta, "gamma": g.gamma}, rng)
 
 

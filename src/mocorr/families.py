@@ -28,7 +28,10 @@ class Family:
     ``args`` holds one ``(name, help, *aliases)`` entry per parameter,
     read from the CLI flags ``--name`` and ``--alias``; ``params(*values)``
     takes their values in order; ``sample(p, n, stream)``, ``cdf(p, x, y)``, ``max_corr(p)``
-    and ``as_dict(p)`` take the params it returns.  ``support(d)`` takes
+    and ``as_dict(p)`` take the params it returns.  ``chunk(p, generator,
+    size)`` is the family's one per-chunk map: the ``(size, 2)`` pairs of
+    one RNG chunk, which ``sample`` concatenates and
+    :func:`mocorr.mo.pair_chunks` hands over one at a time.  ``support(d)`` takes
     the ``as_dict`` form and returns the closed interval ``(low, high)``
     holding every drawn coordinate.
     ``to_copula(p, pairs)`` maps an ``(n, 2)`` draw onto [0, 1]^2
@@ -39,6 +42,7 @@ class Family:
     params: Callable
     as_dict: Callable
     sample: Callable
+    chunk: Callable
     cdf: Callable
     max_corr: Callable
     support: Callable
@@ -65,6 +69,7 @@ FAMILY_TABLE = {
          ("lam12", "common shock rate", "l12")),
         mo.MOParams, lambda p: p.as_dict(),
         lambda p, n, s: mo.sample_mo(p, n, s),
+        lambda p, g, size: mo._mo_chunk(p, g, size),
         lambda p, x, y: mo.mo_cdf(p, x, y),
         lambda p: maxcorr.max_corr_from_rates(p), lambda d: (0.0, math.inf),
         lambda p, pairs: np.column_stack([
@@ -75,11 +80,13 @@ FAMILY_TABLE = {
         (("phi", "first copula exponent"), ("psi", "second copula exponent")),
         mo.CopulaParams, lambda c: c.as_dict(),
         lambda c, n, s: mo.sample_copula(c, n, s),
+        lambda c, g, size: mo._copula_chunk(c, g, size),
         lambda c, u, v: mo.copula_cdf(c, u, v),
         lambda c: maxcorr.max_corr_closed(c), _unit),
     "d_xi": Family(
         (("xi", "section family parameter"),), mo.DXiParam, lambda d: d.as_dict(),
         lambda d, n, s: mo.sample_d_xi(d, n, s),
+        lambda d, g, size: mo._d_xi_chunk(d, g, size),
         lambda d, u, v: mo.copula_cdf(d.copula, u, v),
         lambda d: maxcorr.max_corr_closed(d.copula), _unit),
     "limit_gev": Family(
@@ -87,6 +94,7 @@ FAMILY_TABLE = {
         lambda zeta, gamma: (extremes.ZetaOverlap(zeta), extremes.GEVShape(gamma)),
         lambda p: {"zeta": p[0].zeta, "gamma": p[1].gamma},
         lambda p, n, s: extremes.sample_limit_pair(*p, n, s),
+        lambda p, g, size: extremes._limit_pair_chunk(*p, g, size),
         lambda p, x, y: extremes.limit_copula_cdf(*p, x, y),
         lambda p: 1.0 - p[0].zeta, _gev_support,
         lambda p, pairs: np.column_stack([
@@ -97,6 +105,7 @@ FAMILY_TABLE = {
         (("rho", "correlation"),), lambda rho: maxcorr._check_rho(rho),
         lambda rho: {"rho": rho},
         lambda rho, n, s: maxcorr.sample_gaussian_copula(rho, n, s),
+        lambda rho, g, size: maxcorr._gaussian_chunk(rho, g, size),
         lambda rho, u, v: maxcorr.gaussian_copula_cdf(rho, u, v),
         abs, _unit),
 }

@@ -17,8 +17,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ValidationError, _check_floats
-from .mo import CopulaParams, MOParams, PairSample, _check_n, _unit_pair
-from .numerics import bin_pairs, second_singular_value
+from .mo import CopulaParams, MOParams, PairChunks, PairSample, _check_n, _unit_pair
+from .numerics import _check_bins, bin_pairs, second_singular_value
 from .rng import RngStream, draw_iid
 
 
@@ -72,7 +72,12 @@ def var_fk(k: float) -> float:
     k = float(k)
     if not math.isfinite(k) or k < 0:
         raise ValidationError("k must be nonnegative and finite")
-    return 1.0 / ((2.0 * k + 3.0) * (k + 2.0) ** 2)
+    # Python's float ** raises where * would give inf; there the value is
+    # below the smallest float.  ** stays: x*x can differ from it in the last bit.
+    try:
+        return 1.0 / ((2.0 * k + 3.0) * (k + 2.0) ** 2)
+    except OverflowError:
+        return 0.0
 
 
 def power_cov(c: CopulaParams, idx: PowerIndex) -> float:
@@ -104,8 +109,13 @@ def power_corr(c: CopulaParams, idx: PowerIndex) -> float:
     k, ell = idx.k, idx.ell
     if c.phi == 0.0 or c.psi == 0.0:
         return 0.0
-    num = c.phi * c.psi * math.sqrt((2.0 * k + 3.0) * (2.0 * ell + 3.0))
-    return num / ((k + 2.0) * c.psi + (ell + 2.0) * c.phi - c.phi * c.psi)
+    # Both sides over s: (2k+3)(2l+3) overflows a float from k, l near 6.7e153,
+    # and s = max(k, ell) keeps each factor near 2 there.  Below 1e150, s = 1
+    # leaves every operation as in the plain form.
+    s = max(k, ell)
+    s = s if s > 1e150 else 1.0
+    num = c.phi * c.psi * math.sqrt((2.0 * (k / s) + 3.0 / s) * (2.0 * (ell / s) + 3.0 / s))
+    return num / ((k / s + 2.0 / s) * c.psi + (ell / s + 2.0 / s) * c.phi - c.phi * c.psi / s)
 
 
 def max_corr_closed(c: CopulaParams) -> float:
@@ -138,8 +148,9 @@ def estimate_max_corr(sample: PairSample, m: int = 64) -> MaxCorrEstimate:
 
     Parameters
     ----------
-    sample : PairSample or (n, 2) array
-        Coordinates must lie in [0, 1].
+    sample : PairSample, PairChunks or (n, 2) array
+        Coordinates must lie in [0, 1].  A :class:`PairChunks` is drawn
+        only after ``m`` and ``n`` pass their checks.
     m : int
         Bins per axis.
 
@@ -148,14 +159,14 @@ def estimate_max_corr(sample: PairSample, m: int = 64) -> MaxCorrEstimate:
     MaxCorrEstimate
         ``residual`` holds the spectral gap ``sigma2 - sigma3``.
     """
-    op = bin_pairs(sample, int(m))  # validates the pairs and m
-    n = len(getattr(sample, "pairs", sample))
+    _check_bins(m)
+    n = sample.n if isinstance(sample, (PairSample, PairChunks)) else len(sample)
     if n < 10 * int(m) ** 2:
         raise ValidationError(
             f"insufficient sample: the estimator requires n >= 10*m^2 "
             f"(= {10 * int(m) ** 2} for m = {m}), got n = {n}"
         )
-    value, gap = second_singular_value(op)
+    value, gap = second_singular_value(bin_pairs(sample, int(m)))  # validates the pairs
     return MaxCorrEstimate(
         value=value,
         m=int(m),
@@ -178,13 +189,18 @@ def _check_rho(rho: float) -> float:
     return rho
 
 
+def _gaussian_chunk(rho: float, gen: np.random.Generator, size: int) -> np.ndarray:
+    """One chunk of :func:`sample_gaussian_copula`, at a checked ``rho``."""
+    from scipy.special import ndtr  # deferred: only this family needs scipy
+    z = gen.standard_normal((size, 2))
+    z2 = rho * z[:, 0] + math.sqrt(1.0 - rho * rho) * z[:, 1]
+    return np.column_stack([ndtr(z[:, 0]), ndtr(z2)])
+
+
 def sample_gaussian_copula(rho: float, n: int, rng: RngStream) -> PairSample:
     """Pairs ``(Phi(Z1), Phi(Z2))`` with correlated standard normals."""
-    from scipy.special import ndtr  # deferred: only this family needs scipy
     rho = _check_rho(rho)
-    z = draw_iid(rng, _check_n(n), lambda g, size: g.standard_normal((size, 2)))
-    z2 = rho * z[:, 0] + math.sqrt(1.0 - rho * rho) * z[:, 1]
-    pairs = np.column_stack([ndtr(z[:, 0]), ndtr(z2)])
+    pairs = draw_iid(rng, _check_n(n), lambda g, size: _gaussian_chunk(rho, g, size))
     return PairSample(pairs, "gaussian", {"rho": rho}, rng)
 
 

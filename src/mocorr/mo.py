@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError, _check_floats
-from .rng import RngStream, draw_uniforms, draw_iid
+from .rng import RngStream, draw_iid, iter_chunks
 from .serialize import canonical_json, write_csv
 
 @dataclass(frozen=True)
@@ -106,14 +106,7 @@ class PairSample:
             raise ValidationError("pairs must be an (n, 2) array")
         if pairs.shape[0] == 0:
             raise ValidationError("pairs must contain at least one row")
-        low, high = _family(self.family).support(self.params)
-        # min/max propagate NaN and reach any infinity: one pass each.
-        lo, hi = pairs.min(), pairs.max()
-        if not (np.isfinite(lo) and np.isfinite(hi)):
-            raise ValidationError("pair coordinates must be finite")
-        if lo < low or hi > high:
-            raise ValidationError(
-                f"family {self.family!r} has coordinates outside [{low:g}, {high:g}]")
+        _check_support(pairs, self.family, self.params)
         self.pairs = pairs
 
     @property
@@ -123,6 +116,60 @@ class PairSample:
     @property
     def copula_scale(self) -> bool:
         return _family(self.family).to_copula is None
+
+
+@dataclass(frozen=True, eq=False)
+class PairChunks:
+    """A pair sample handed over one RNG chunk at a time, on the copula scale.
+
+    ``chunks`` yields, once and in order, the ``(size, 2)`` copula-scale
+    pairs of each chunk of the draw (see :func:`pair_chunks`); the other
+    fields are those of :class:`PairSample`, with ``n`` the total rows.
+    """
+
+    family: str
+    params: dict
+    seed: RngStream
+    n: int
+    chunks: object
+
+
+def pair_chunks(family: str, p, n: int, rng: RngStream) -> PairChunks:
+    """Draw ``n`` pairs of ``family`` at params ``p`` lazily, chunk by chunk.
+
+    Each chunk comes from the family's per-chunk map, is checked as a
+    :class:`PairSample` checks its pairs, and is mapped onto [0, 1]^2 by
+    the family's ``to_copula`` (then checked there) where it has one.
+    The chunks concatenate to ``to_copula`` of the family's ``sample``
+    at the same arguments, bit for bit, but no n-sized array is built.
+    """
+    record = _family(family)
+    params = record.as_dict(p)
+    n = _check_n(n)
+
+    def chunks():
+        for pairs in iter_chunks(rng, n, lambda g, size: record.chunk(p, g, size)):
+            _check_support(pairs, family, params)
+            if record.to_copula is not None:
+                # The copula-scale pairs can lie outside the family's own
+                # support (limit_gev with gamma < -1).
+                pairs = record.to_copula(p, pairs)
+                _check_support(pairs, "copula", {})
+            yield pairs
+
+    return PairChunks(family, params, rng, n, chunks())
+
+
+def _check_support(pairs: np.ndarray, family: str, params: dict) -> None:
+    """Refuse non-finite pairs and pairs outside ``family``'s support."""
+    low, high = _family(family).support(params)
+    # min/max propagate NaN and reach any infinity: one pass each.
+    lo, hi = pairs.min(), pairs.max()
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValidationError("pair coordinates must be finite")
+    if lo < low or hi > high:
+        raise ValidationError(
+            f"family {family!r} has coordinates outside [{low:g}, {high:g}]")
 
 
 def _family(name: str):
@@ -150,7 +197,9 @@ def mo_survival(p: MOParams, x1, x2):
     array inputs.
     """
     a, b = _broadcast_pair(x1, x2, nonnegative=True, name="survival")
-    expo = p.lambda1 * a + p.lambda2 * b + p.lambda12 * np.maximum(a, b)
+    # An exponent past the float range is inf, and exp(-inf) = 0 is the value.
+    with np.errstate(over="ignore"):
+        expo = p.lambda1 * a + p.lambda2 * b + p.lambda12 * np.maximum(a, b)
     out = np.exp(-expo)
     return out if out.ndim else float(out)
 
@@ -163,7 +212,8 @@ def mo_marginal_survival(p: MOParams, which: int, x):
     a = np.asarray(x, dtype=float)
     if np.any(a < 0) or not np.all(np.isfinite(a)):
         raise ValidationError("coordinate must be nonnegative and finite")
-    out = np.exp(-rate * a)
+    with np.errstate(over="ignore"):
+        out = np.exp(-rate * a)
     return out if out.ndim else float(out)
 
 
@@ -227,18 +277,22 @@ def _check_n(value: int, name: str = "n") -> int:
     return int(value)
 
 
+def _mo_chunk(p: MOParams, gen: np.random.Generator, size: int) -> np.ndarray:
+    """One chunk of :func:`sample_mo`: ``(size, 2)`` pairs from the three shocks."""
+    shocks = gen.standard_exponential((size, 3))
+    z1 = shocks[:, 0] / p.lambda1
+    z2 = shocks[:, 1] / p.lambda2
+    z12 = shocks[:, 2] / p.lambda12
+    return np.column_stack([np.minimum(z1, z12), np.minimum(z2, z12)])
+
+
 def sample_mo(p: MOParams, n: int, rng: RngStream) -> PairSample:
     """Draw ``n`` shock-model pairs by simulating the three shocks.
 
     Ties ``X1 == X2`` occur exactly (bit-identical floats) whenever the
     shared shock arrives first.
     """
-    n = _check_n(n)
-    shocks = draw_iid(rng, n, lambda g, size: g.standard_exponential((size, 3)))
-    z1 = shocks[:, 0] / p.lambda1
-    z2 = shocks[:, 1] / p.lambda2
-    z12 = shocks[:, 2] / p.lambda12
-    pairs = np.column_stack([np.minimum(z1, z12), np.minimum(z2, z12)])
+    pairs = draw_iid(rng, _check_n(n), lambda g, size: _mo_chunk(p, g, size))
     return PairSample(pairs, "mo", p.as_dict(), rng)
 
 
@@ -265,16 +319,28 @@ def copula_pair_from_uniforms(x, y, z, phi: float, psi: float):
             _section(np.asarray(y, dtype=float), z, psi))
 
 
+def _copula_chunk(c: CopulaParams, gen: np.random.Generator, size: int) -> np.ndarray:
+    """One chunk of :func:`sample_copula`: section draws from three uniforms."""
+    u, v = copula_pair_from_uniforms(*gen.random((size, 3)).T, c.phi, c.psi)
+    return np.column_stack([u, v])
+
+
 def sample_copula(c: CopulaParams, n: int, rng: RngStream) -> PairSample:
     """Draw ``n`` pairs from the survival copula, exactly (no inversion)."""
-    u, v = copula_pair_from_uniforms(*draw_uniforms(rng, _check_n(n), 3).T, c.phi, c.psi)
-    return PairSample(np.column_stack([u, v]), "copula", c.as_dict(), rng)
+    pairs = draw_iid(rng, _check_n(n), lambda g, size: _copula_chunk(c, g, size))
+    return PairSample(pairs, "copula", c.as_dict(), rng)
+
+
+def _d_xi_chunk(d: DXiParam, gen: np.random.Generator, size: int) -> np.ndarray:
+    """One chunk of :func:`sample_d_xi`: a section draw and its ``z``."""
+    x, z = gen.random((size, 2)).T
+    return np.column_stack([_section(x, z, d.xi), z])
 
 
 def sample_d_xi(d: DXiParam, n: int, rng: RngStream) -> PairSample:
     """Draw ``n`` pairs from the section family: a section draw and its ``z``."""
-    x, z = draw_uniforms(rng, _check_n(n), 2).T
-    return PairSample(np.column_stack([_section(x, z, d.xi), z]), "d_xi", d.as_dict(), rng)
+    pairs = draw_iid(rng, _check_n(n), lambda g, size: _d_xi_chunk(d, g, size))
+    return PairSample(pairs, "d_xi", d.as_dict(), rng)
 
 
 # ---------------------------------------------------------------------------

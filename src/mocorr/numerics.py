@@ -229,6 +229,19 @@ class BinnedOperator:
         return self.joint_mass.shape[0]
 
 
+def _check_bins(m) -> int:
+    """Bins per axis of :func:`bin_pairs`, an integer in [2, 4096]."""
+    if not 2 <= int(m) <= 4096:
+        raise ValidationError("m must be in [2, 4096]")
+    return int(m)
+
+
+#: Rows per block of the binning kernel: its index temporaries stay near
+#: a few MB at any sample size, and a default RNG chunk of 1e6 / 16
+#: pairs is one block.
+_BIN_ROWS = 1 << 16
+
+
 def bin_pairs(sample, m: int) -> BinnedOperator:
     """Histogram a copula-scale pair sample onto an m x m grid.
 
@@ -236,25 +249,36 @@ def bin_pairs(sample, m: int) -> BinnedOperator:
     Bin ``k`` is ``[e_k, e_{k+1})`` with ``e = linspace(0, 1, m + 1)``,
     so the counts equal those of ``np.histogram2d`` on ``[0, 1]^2``.
     A :class:`~mocorr.mo.PairSample` of a copula-scale family checked
-    its range on construction and is not scanned again.
+    its range on construction and is not scanned again.  A
+    :class:`~mocorr.mo.PairChunks` is binned chunk by chunk as it is
+    drawn (its chunks are checked as they come), so no n-sized array
+    exists; both kinds go through one block kernel and give the same
+    integer counts for the same pairs.
     """
-    pairs = _pairs(sample)
-    if not 2 <= int(m) <= 4096:
-        raise ValidationError("m must be in [2, 4096]")
-    m = int(m)
-    # min/max propagate NaN, so the comparison also rejects it.
-    if not getattr(sample, "copula_scale", False) \
-            and not (pairs.min() >= 0.0 and pairs.max() <= 1.0):
-        raise ValidationError("coordinates must lie in [0, 1] (copula scale)")
+    m = _check_bins(m)
+    chunks = getattr(sample, "chunks", None)
+    if chunks is None:
+        pairs = _pairs(sample)
+        # min/max propagate NaN, so the comparison also rejects it.
+        if not getattr(sample, "copula_scale", False) \
+                and not (pairs.min() >= 0.0 and pairs.max() <= 1.0):
+            raise ValidationError("coordinates must lie in [0, 1] (copula scale)")
+        chunks = (pairs,)
     edges = np.linspace(0.0, 1.0, m + 1)
-    x = pairs.ravel()  # u0, v0, u1, v1, ...
-    idx = (x * m).astype(np.intp)
     # x * m can round across an edge by one ulp, so check against the
     # edges themselves; the infinite ends send x = 1 to the last bin.
-    idx -= x < np.append(edges[:m], np.inf)[idx]
-    idx += x >= np.append(edges[1:m], np.inf)[idx]
-    counts = np.bincount(idx[0::2] * m + idx[1::2], minlength=m * m).reshape(m, m)
-    return BinnedOperator(counts / pairs.shape[0])
+    lower, upper = np.append(edges[:m], np.inf), np.append(edges[1:m], np.inf)
+    counts = np.zeros(m * m, dtype=np.intp)
+    n = 0
+    for pairs in chunks:
+        for start in range(0, pairs.shape[0], _BIN_ROWS):
+            x = pairs[start:start + _BIN_ROWS].ravel()  # u0, v0, u1, v1, ...
+            idx = (x * m).astype(np.intp)
+            idx -= x < lower[idx]
+            idx += x >= upper[idx]
+            counts += np.bincount(idx[0::2] * m + idx[1::2], minlength=m * m)
+        n += pairs.shape[0]
+    return BinnedOperator(counts.reshape(m, m) / n)
 
 
 def second_singular_value(op: BinnedOperator) -> tuple[float, float]:

@@ -90,10 +90,20 @@ def chunk_sizes(n: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(chunks)]
 
 
+def iter_chunks(stream: RngStream, n: int, draw):
+    """Yield ``draw(generator, size)`` for each chunk of ``n``, in order.
+
+    This is the one chunk loop: chunk ``i`` draws from the generator of
+    ``stream.child(i)``, so a consumer that takes the chunks one at a
+    time sees the same values as one that concatenates them.
+    """
+    for i, size in enumerate(chunk_sizes(n)):
+        yield np.asarray(draw(stream.child(i).generator(), size))
+
+
 def _draw_chunks(stream: RngStream, n: int, draw) -> np.ndarray:
     # n = 0 is one chunk of size 0, so the trailing shape survives.
-    return np.concatenate([np.asarray(draw(stream.child(i).generator(), size))
-                           for i, size in enumerate(chunk_sizes(n))])
+    return np.concatenate(list(iter_chunks(stream, n, draw)))
 
 
 def draw_uniforms(stream: RngStream, n: int, cols: int = 1) -> np.ndarray:

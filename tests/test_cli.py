@@ -305,6 +305,30 @@ class TestCorr:
         assert json.loads(p.read_text())["corr"] == pytest.approx(3.0 / 7.0)
 
 
+EDGE_K = ["1e200", "1e300", "1.7976931348623157e308"]
+
+
+@pytest.mark.parametrize("argv", [
+    *(["corr", "--family", "copula", "--phi", "1", "--psi", "1", "--k", k] for k in EDGE_K),
+    *(["corr", "--family", "d_xi", "--xi", "0.5", "--k", k] for k in EDGE_K),
+    ["cdf-eval", "--family", "mo", "--l1", "1", "--l2", "1", "--l12", "1", "--at", "1e308", "0"],
+], ids=" ".join)
+def test_far_edges_answer_without_warning_or_null(argv):
+    # A float overflow in the closed forms used to end in a traceback
+    # (var_fk), a null corr (power_corr) or a RuntimeWarning (mo_survival).
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "mocorr.cli",
+                           *argv], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert "null" not in proc.stdout
+    report = json.loads(proc.stdout)
+    if argv[0] == "cdf-eval":
+        assert report["points"][0]["value"] == 0.0
+    else:
+        assert report["corr"] == pytest.approx(report["max_corr"], rel=1e-12)
+        assert report["max_corr"] == (1.0 if "copula" in argv else math.sqrt(0.5))
+
+
 class TestMaxcorr:
     def test_copula_estimate(self, capsys):
         code, out, _ = run_cli(

@@ -94,6 +94,17 @@ class TestGev:
             values = gev_cdf(GEVShape(gamma), x)
             assert np.all(np.diff(values) >= 0)
 
+    @pytest.mark.parametrize("gamma", [5e-324, -5e-324, 1e-310])
+    def test_subnormal_gamma_is_the_gumbel_law(self, gamma):
+        # gamma*s keeps no digits of s below the smallest normal float.
+        g, gumbel = GEVShape(gamma), GEVShape(0.0)
+        q = np.array([1e-300, 0.1, 0.5, 0.8, 0.99, 1.0 - 2.0 ** -53])
+        assert np.array_equal(gev_quantile(g, q), gev_quantile(gumbel, q))
+        x = np.array([-700.0, -3.0, 0.0, 1.5, 40.0, 1e300])
+        assert np.array_equal(gev_cdf(g, x), gev_cdf(gumbel, x))
+        assert gev_cdf(g, 1.5) == gev_cdf(gumbel, 1.5)
+        assert g.gamma == gamma
+
     def test_gamma_must_be_finite(self):
         with pytest.raises(ValidationError):
             GEVShape(float("nan"))

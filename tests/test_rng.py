@@ -11,6 +11,7 @@ from mocorr.rng import (
     chunk_sizes,
     draw_iid,
     draw_uniforms,
+    iter_chunks,
 )
 
 
@@ -68,6 +69,18 @@ def test_draw_normals_shape_and_determinism():
     b = draw_iid(RngStream(11), 513, normals)
     assert a.shape == (513, 3)
     np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("n", [0, 1, 15, 16, 17, 1000])
+def test_chunks_are_yielded_in_order_and_concatenate_to_the_draw(n):
+    def triples(g, size):
+        return g.random((size, 3))
+
+    chunks = list(iter_chunks(RngStream(4), n, triples))
+    assert [len(c) for c in chunks] == chunk_sizes(n)
+    np.testing.assert_array_equal(np.concatenate(chunks), draw_iid(RngStream(4), n, triples))
+    np.testing.assert_array_equal(chunks[-1], triples(RngStream(4).child(len(chunks) - 1)
+                                                      .generator(), chunk_sizes(n)[-1]))
 
 
 def test_zero_draws_allowed():
