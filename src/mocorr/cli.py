@@ -92,10 +92,10 @@ def _emit_csv(header: str, rows, out: str | None) -> None:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
-    family, params = _family_params(args)
+    _, params = _family_params(args)
     if args.out is None:
         raise ValidationError("sample requires --out PATH for the CSV payload")
-    sample = family.sample(params, args.n, RngStream(args.seed))
+    sample = mo.pair_sample(args.family, params, args.n, RngStream(args.seed))
     mo.write_sample_csv(sample, args.out)
     sys.stderr.write(f"wrote {sample.n} pairs to {args.out}\n")
     return 0

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import DivergentMomentError, EvaluationError, ValidationError, _check_floats
-from .mo import CopulaParams, PairSample, _check_n, copula_cdf
+from .mo import CopulaParams, PairSample, copula_cdf, pair_sample
 from .numerics import QuadratureSpec
 from .rng import RngStream, draw_iid, draw_uniforms
 
@@ -140,8 +140,7 @@ def _limit_pair_chunk(z: ZetaOverlap, g: GEVShape, gen: np.random.Generator,
 
 def sample_limit_pair(z: ZetaOverlap, g: GEVShape, n: int, rng: RngStream) -> PairSample:
     """Draw ``n`` overlap-limit pairs on the GEV scale; a float overflow is an EvaluationError."""
-    pairs = draw_iid(rng, _check_n(n), lambda gen, size: _limit_pair_chunk(z, g, gen, size))
-    return PairSample(pairs, "limit_gev", {"zeta": z.zeta, "gamma": g.gamma}, rng)
+    return pair_sample("limit_gev", (z, g), n, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -151,10 +150,11 @@ def sample_limit_pair(z: ZetaOverlap, g: GEVShape, n: int, rng: RngStream) -> Pa
 def _log_transform(h, a, gamma):
     if gamma == 0.0:
         return a
-    w = 1.0 + gamma * a
-    if np.any(w <= 0.0):
+    # log1p keeps the digits of gamma*a that 1 + gamma*a would round away.
+    w = gamma * a
+    if np.any(w <= -1.0):
         raise ValidationError(f"log_transform undefined outside the gamma={gamma} support")
-    return np.log(w) / gamma
+    return np.log1p(w) / gamma
 
 
 #: Each functional's tail order (``h(x)`` grows like ``x**order``; 0 for

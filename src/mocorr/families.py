@@ -1,11 +1,11 @@
 """One record per pair family, shared by the CLI and the battery.
 
 Each :class:`Family` names the CLI arguments that carry its parameters
-and says how to build the parameters, draw pairs, evaluate the joint
-cdf, give the closed-form maximal correlation and bound the drawn
-coordinates; families off the copula scale also say how to map their
-pairs onto it.  The entries look their library functions up on the
-module at call time, so a function rebound there (as
+and says how to build the parameters, draw one RNG chunk of pairs,
+evaluate the joint cdf, give the closed-form maximal correlation and
+bound the drawn coordinates; families off the copula scale also say how
+to map their pairs onto it.  The entries look their library functions
+up on the module at call time, so a function rebound there (as
 ``perfbench/spans.py`` does to trace it) is the one the table calls.
 """
 
@@ -27,10 +27,10 @@ class Family:
 
     ``args`` holds one ``(name, help, *aliases)`` entry per parameter,
     read from the CLI flags ``--name`` and ``--alias``; ``params(*values)``
-    takes their values in order; ``sample(p, n, stream)``, ``cdf(p, x, y)``, ``max_corr(p)``
-    and ``as_dict(p)`` take the params it returns.  ``chunk(p, generator,
-    size)`` is the family's one per-chunk map: the ``(size, 2)`` pairs of
-    one RNG chunk, which ``sample`` concatenates and
+    takes their values in order; ``cdf(p, x, y)``, ``max_corr(p)`` and
+    ``as_dict(p)`` take the params it returns.  ``chunk(p, generator,
+    size)`` is the family's only draw code: the ``(size, 2)`` pairs of
+    one RNG chunk, which :func:`mocorr.mo.pair_sample` concatenates and
     :func:`mocorr.mo.pair_chunks` hands over one at a time.  ``support(d)`` takes
     the ``as_dict`` form and returns the closed interval ``(low, high)``
     holding every drawn coordinate.
@@ -41,7 +41,6 @@ class Family:
     args: tuple[tuple[str, ...], ...]
     params: Callable
     as_dict: Callable
-    sample: Callable
     chunk: Callable
     cdf: Callable
     max_corr: Callable
@@ -68,7 +67,6 @@ FAMILY_TABLE = {
          ("lam2", "second individual shock rate", "l2"),
          ("lam12", "common shock rate", "l12")),
         mo.MOParams, lambda p: p.as_dict(),
-        lambda p, n, s: mo.sample_mo(p, n, s),
         lambda p, g, size: mo._mo_chunk(p, g, size),
         lambda p, x, y: mo.mo_cdf(p, x, y),
         lambda p: maxcorr.max_corr_from_rates(p), lambda d: (0.0, math.inf),
@@ -79,13 +77,11 @@ FAMILY_TABLE = {
     "copula": Family(
         (("phi", "first copula exponent"), ("psi", "second copula exponent")),
         mo.CopulaParams, lambda c: c.as_dict(),
-        lambda c, n, s: mo.sample_copula(c, n, s),
         lambda c, g, size: mo._copula_chunk(c, g, size),
         lambda c, u, v: mo.copula_cdf(c, u, v),
         lambda c: maxcorr.max_corr_closed(c), _unit),
     "d_xi": Family(
         (("xi", "section family parameter"),), mo.DXiParam, lambda d: d.as_dict(),
-        lambda d, n, s: mo.sample_d_xi(d, n, s),
         lambda d, g, size: mo._d_xi_chunk(d, g, size),
         lambda d, u, v: mo.copula_cdf(d.copula, u, v),
         lambda d: maxcorr.max_corr_closed(d.copula), _unit),
@@ -93,18 +89,13 @@ FAMILY_TABLE = {
         (("zeta", "block offset; the blocks share 1 - zeta"), ("gamma", "GEV shape")),
         lambda zeta, gamma: (extremes.ZetaOverlap(zeta), extremes.GEVShape(gamma)),
         lambda p: {"zeta": p[0].zeta, "gamma": p[1].gamma},
-        lambda p, n, s: extremes.sample_limit_pair(*p, n, s),
         lambda p, g, size: extremes._limit_pair_chunk(*p, g, size),
         lambda p, x, y: extremes.limit_copula_cdf(*p, x, y),
         lambda p: 1.0 - p[0].zeta, _gev_support,
-        lambda p, pairs: np.column_stack([
-            extremes.gev_cdf(p[1], pairs[:, 0]),
-            extremes.gev_cdf(p[1], pairs[:, 1]),
-        ])),
+        lambda p, pairs: extremes.gev_cdf(p[1], pairs)),
     "gaussian": Family(
         (("rho", "correlation"),), lambda rho: maxcorr._check_rho(rho),
         lambda rho: {"rho": rho},
-        lambda rho, n, s: maxcorr.sample_gaussian_copula(rho, n, s),
         lambda rho, g, size: maxcorr._gaussian_chunk(rho, g, size),
         lambda rho, u, v: maxcorr.gaussian_copula_cdf(rho, u, v),
         abs, _unit),

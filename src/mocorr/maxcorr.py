@@ -17,9 +17,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ValidationError, _check_floats
-from .mo import CopulaParams, MOParams, PairChunks, PairSample, _check_n, _unit_pair
+from .mo import CopulaParams, MOParams, PairChunks, PairSample, _unit_pair, pair_sample
 from .numerics import _check_bins, bin_pairs, second_singular_value
-from .rng import RngStream, draw_iid
+from .rng import RngStream
 
 
 @dataclass(frozen=True)
@@ -199,9 +199,7 @@ def _gaussian_chunk(rho: float, gen: np.random.Generator, size: int) -> np.ndarr
 
 def sample_gaussian_copula(rho: float, n: int, rng: RngStream) -> PairSample:
     """Pairs ``(Phi(Z1), Phi(Z2))`` with correlated standard normals."""
-    rho = _check_rho(rho)
-    pairs = draw_iid(rng, _check_n(n), lambda g, size: _gaussian_chunk(rho, g, size))
-    return PairSample(pairs, "gaussian", {"rho": rho}, rng)
+    return pair_sample("gaussian", _check_rho(rho), n, rng)
 
 
 #: Rows per block of the 64-node sum in :func:`gaussian_copula_cdf`: its

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError, _check_floats
+from .numerics import _pairs
 from .rng import RngStream, draw_iid, iter_chunks
 from .serialize import canonical_json, write_csv
 
@@ -101,11 +102,7 @@ class PairSample:
     seed: RngStream | None = None
 
     def __post_init__(self):
-        pairs = np.asarray(self.pairs, dtype=float)
-        if pairs.ndim != 2 or pairs.shape[1] != 2:
-            raise ValidationError("pairs must be an (n, 2) array")
-        if pairs.shape[0] == 0:
-            raise ValidationError("pairs must contain at least one row")
+        pairs = _pairs(self.pairs)
         _check_support(pairs, self.family, self.params)
         self.pairs = pairs
 
@@ -134,14 +131,21 @@ class PairChunks:
     chunks: object
 
 
+def pair_sample(family: str, p, n: int, rng: RngStream) -> PairSample:
+    """Draw ``n`` pairs of ``family`` at params ``p``: its per-chunk map, concatenated."""
+    record = _family(family)
+    pairs = draw_iid(rng, _check_n(n), lambda g, size: record.chunk(p, g, size))
+    return PairSample(pairs, family, record.as_dict(p), rng)
+
+
 def pair_chunks(family: str, p, n: int, rng: RngStream) -> PairChunks:
     """Draw ``n`` pairs of ``family`` at params ``p`` lazily, chunk by chunk.
 
     Each chunk comes from the family's per-chunk map, is checked as a
     :class:`PairSample` checks its pairs, and is mapped onto [0, 1]^2 by
     the family's ``to_copula`` (then checked there) where it has one.
-    The chunks concatenate to ``to_copula`` of the family's ``sample``
-    at the same arguments, bit for bit, but no n-sized array is built.
+    The chunks concatenate to ``to_copula`` of :func:`pair_sample` at the
+    same arguments, bit for bit, but no n-sized array is built.
     """
     record = _family(family)
     params = record.as_dict(p)
@@ -292,8 +296,7 @@ def sample_mo(p: MOParams, n: int, rng: RngStream) -> PairSample:
     Ties ``X1 == X2`` occur exactly (bit-identical floats) whenever the
     shared shock arrives first.
     """
-    pairs = draw_iid(rng, _check_n(n), lambda g, size: _mo_chunk(p, g, size))
-    return PairSample(pairs, "mo", p.as_dict(), rng)
+    return pair_sample("mo", p, n, rng)
 
 
 def _section(x, z, xi: float):
@@ -327,8 +330,7 @@ def _copula_chunk(c: CopulaParams, gen: np.random.Generator, size: int) -> np.nd
 
 def sample_copula(c: CopulaParams, n: int, rng: RngStream) -> PairSample:
     """Draw ``n`` pairs from the survival copula, exactly (no inversion)."""
-    pairs = draw_iid(rng, _check_n(n), lambda g, size: _copula_chunk(c, g, size))
-    return PairSample(pairs, "copula", c.as_dict(), rng)
+    return pair_sample("copula", c, n, rng)
 
 
 def _d_xi_chunk(d: DXiParam, gen: np.random.Generator, size: int) -> np.ndarray:
@@ -339,8 +341,7 @@ def _d_xi_chunk(d: DXiParam, gen: np.random.Generator, size: int) -> np.ndarray:
 
 def sample_d_xi(d: DXiParam, n: int, rng: RngStream) -> PairSample:
     """Draw ``n`` pairs from the section family: a section draw and its ``z``."""
-    pairs = draw_iid(rng, _check_n(n), lambda g, size: _d_xi_chunk(d, g, size))
-    return PairSample(pairs, "d_xi", d.as_dict(), rng)
+    return pair_sample("d_xi", d, n, rng)
 
 
 # ---------------------------------------------------------------------------

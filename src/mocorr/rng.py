@@ -101,11 +101,6 @@ def iter_chunks(stream: RngStream, n: int, draw):
         yield np.asarray(draw(stream.child(i).generator(), size))
 
 
-def _draw_chunks(stream: RngStream, n: int, draw) -> np.ndarray:
-    # n = 0 is one chunk of size 0, so the trailing shape survives.
-    return np.concatenate(list(iter_chunks(stream, n, draw)))
-
-
 def draw_uniforms(stream: RngStream, n: int, cols: int = 1) -> np.ndarray:
     """Draw an ``(n, cols)`` array of U(0,1) variates, chunk by chunk.
 
@@ -115,7 +110,7 @@ def draw_uniforms(stream: RngStream, n: int, cols: int = 1) -> np.ndarray:
     """
     if cols < 1:
         raise ValidationError("cols must be >= 1")
-    return _draw_chunks(stream, n, lambda gen, size: gen.random((size, cols)))
+    return draw_iid(stream, n, lambda gen, size: gen.random((size, cols)))
 
 
 def draw_iid(stream: RngStream, n: int, sampler) -> np.ndarray:
@@ -123,4 +118,5 @@ def draw_iid(stream: RngStream, n: int, sampler) -> np.ndarray:
     first axis has length ``size``; same determinism contract as
     :func:`draw_uniforms`.
     """
-    return _draw_chunks(stream, n, sampler)
+    # n = 0 is one chunk of size 0, so the trailing shape survives.
+    return np.concatenate(list(iter_chunks(stream, n, sampler)))

@@ -159,7 +159,7 @@ def check_sampler_ks(sizes: BatterySizes, rng: RngStream) -> CheckResult:
         for name, draw, label in _KS_CASES:
             family = FAMILY_TABLE[name]
             p = family.params(*map(float, draw(gen)))
-            sample = family.sample(p, sizes.ks_n, rng.child(stream_index))
+            sample = mo.pair_sample(name, p, sizes.ks_n, rng.child(stream_index))
             stream_index += 1
             d = ecdf_ks(sample, lambda x, y: family.cdf(p, x, y))
             if d > worst:
@@ -219,7 +219,7 @@ def check_estimator_closed_form(sizes: BatterySizes, rng: RngStream) -> CheckRes
     worst_name = ""
     for i in range(sizes.est_cases):
         c = _random_copula(gen)
-        sample = mo.sample_copula(c, sizes.est_n, rng.child(i))
+        sample = mo.pair_chunks("copula", c, sizes.est_n, rng.child(i))
         est = maxcorr.estimate_max_corr(sample, m=sizes.est_m)
         err = abs(est.value - maxcorr.max_corr_closed(c))
         if err > worst:
@@ -233,7 +233,7 @@ def check_dxi_estimator(sizes: BatterySizes, rng: RngStream) -> CheckResult:
     worst = 0.0
     for i, xi in enumerate((0.5, 0.75)[: max(1, sizes.est_cases - 1)]):
         d = mo.DXiParam(xi)
-        sample = mo.sample_d_xi(d, sizes.est_n, rng.child(i))
+        sample = mo.pair_chunks("d_xi", d, sizes.est_n, rng.child(i))
         est = maxcorr.estimate_max_corr(sample, m=sizes.est_m)
         worst = max(worst, abs(est.value - maxcorr.max_corr_closed(d.copula)))
     return CheckResult("section-family-estimate", worst <= 0.02,
@@ -243,7 +243,7 @@ def check_dxi_estimator(sizes: BatterySizes, rng: RngStream) -> CheckResult:
 def check_gaussian_oracle(sizes: BatterySizes, rng: RngStream) -> CheckResult:
     """Gaussian copula estimate within 0.02 of |rho| (0.05 at independence)."""
     est0, est6 = (maxcorr.estimate_max_corr(
-        maxcorr.sample_gaussian_copula(rho, sizes.est_n, rng.child(i)), m=sizes.est_m)
+        mo.pair_chunks("gaussian", rho, sizes.est_n, rng.child(i)), m=sizes.est_m)
         for i, rho in enumerate((0.0, 0.6)))
     err6 = abs(est6.value - 0.6)
     passed = est0.value <= 0.05 and err6 <= 0.02

@@ -1,5 +1,6 @@
 """The RNG chunk as the unit of work: per-chunk maps and the streamed estimator."""
 
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -7,12 +8,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mocorr import extremes, mo
+from mocorr import extremes, maxcorr, mo, verify
 from mocorr.cli import main
 from mocorr.errors import ValidationError
 from mocorr.families import FAMILY_TABLE
 from mocorr.maxcorr import estimate_max_corr
-from mocorr.mo import PairChunks, PairSample, pair_chunks
+from mocorr.mo import PairChunks, PairSample, pair_chunks, pair_sample
 from mocorr.numerics import _BIN_ROWS, bin_pairs
 from mocorr.rng import RngStream, draw_iid, draw_uniforms
 
@@ -75,20 +76,32 @@ OLD_SAMPLERS = {
 }
 
 
+#: Each family's public sampler, in the generic ``(p, n, rng)`` form.
+PUBLIC_SAMPLERS = {
+    "copula": mo.sample_copula,
+    "d_xi": mo.sample_d_xi,
+    "mo": mo.sample_mo,
+    "limit_gev": lambda p, n, rng: extremes.sample_limit_pair(*p, n, rng),
+    "gaussian": maxcorr.sample_gaussian_copula,
+}
+
+
 @pytest.mark.parametrize("n", [1, 15, 16, 17, 65_537, 1_000_000])
 @pytest.mark.parametrize("family", sorted(PARAMS))
 def test_sampler_equals_its_whole_array_expression(family, n):
     p, rng = PARAMS[family], RngStream(9001)
-    sample = FAMILY_TABLE[family].sample(p, n, rng)
-    np.testing.assert_array_equal(sample.pairs, OLD_SAMPLERS[family](p, n, rng))
-    assert sample.family == family and sample.seed == rng
+    expected = OLD_SAMPLERS[family](p, n, rng)
+    for sample in (pair_sample(family, p, n, rng), PUBLIC_SAMPLERS[family](p, n, rng)):
+        np.testing.assert_array_equal(sample.pairs, expected)
+        assert sample.family == family and sample.seed == rng
+        assert sample.params == FAMILY_TABLE[family].as_dict(p)
 
 
 @pytest.mark.parametrize("family", sorted(PARAMS))
 def test_chunks_concatenate_to_the_copula_scale_sample(family):
     p, rng, n = PARAMS[family], RngStream(3), 40_017
     record = FAMILY_TABLE[family]
-    pairs = record.sample(p, n, rng).pairs
+    pairs = pair_sample(family, p, n, rng).pairs
     if record.to_copula is not None:
         pairs = record.to_copula(p, pairs)
     stream = pair_chunks(family, p, n, rng)
@@ -103,7 +116,7 @@ def test_chunks_concatenate_to_the_copula_scale_sample(family):
 def test_streamed_report_equals_the_in_memory_estimate(family, capsys):
     p, n, m = PARAMS[family], 200_000, 32
     record = FAMILY_TABLE[family]
-    sample = record.sample(p, n, RngStream(17))
+    sample = pair_sample(family, p, n, RngStream(17))
     if record.to_copula is not None:
         # The copula-scale pairs, under the family's own name and params.
         sample = PairSample(record.to_copula(p, sample.pairs), "copula",
@@ -196,3 +209,21 @@ def test_maxcorr_never_holds_the_whole_sample(family, capsys):
         tracemalloc.stop()
     # One (n, 2) float array alone is n * 16 bytes.
     assert peak < n * 16, peak
+
+
+@pytest.mark.parametrize("check", [verify.check_estimator_closed_form,
+                                   verify.check_dxi_estimator,
+                                   verify.check_gaussian_oracle])
+def test_verify_estimator_checks_never_hold_the_whole_sample(check):
+    sizes = dataclasses.replace(verify.QUICK_SIZES, est_n=200_000)
+    rng = RngStream(23)
+    expected = check(sizes, rng)  # warm-up: imports are not counted
+    tracemalloc.start()
+    try:
+        result = check(sizes, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result == expected
+    # One (n, 2) float array alone is n * 16 bytes.
+    assert peak < sizes.est_n * 16, peak

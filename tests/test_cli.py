@@ -13,7 +13,7 @@ from mocorr.cli import _family_params, build_parser, main
 from mocorr.errors import ValidationError
 from mocorr.families import FAMILY_TABLE
 from mocorr.maxcorr import max_corr_closed, power_corr, PowerIndex
-from mocorr.mo import CopulaParams, PairSample, copula_cdf
+from mocorr.mo import CopulaParams, PairSample, copula_cdf, pair_sample
 from mocorr.rng import RngStream
 
 
@@ -184,7 +184,7 @@ class TestFamilyTable:
     def test_draw_lies_inside_support(self, family, capsys):
         record, params = _family_params(build_parser().parse_args(
             ["maxcorr", "--family", family, *FAMILY_ARGS[family]]))
-        sample = record.sample(params, 20_000, RngStream(6))
+        sample = pair_sample(family, params, 20_000, RngStream(6))
         low, high = record.support(sample.params)
         assert low <= sample.pairs.min() and sample.pairs.max() <= high
         for bound, step in ((low, -1.0), (high, 1.0)):
@@ -608,6 +608,18 @@ class TestBlocksim:
         assert code == 2
         assert out == ""
         assert err.startswith("numerical failure: ") and "Traceback" not in err
+
+    def test_log_transform_keeps_the_spread_at_a_tiny_gamma(self, capsys):
+        # gamma = 1e-10: 1 + gamma*x rounds the spread of x away, and the
+        # estimate used to read exactly 0 with exit 0.
+        code, out, _ = run_cli(
+            capsys, "blocksim", "--dist", "pareto", "--alpha", "1e10", "--r", "10",
+            "--n-blocks", "100", "--h", "log-transform", "--mode", "disjoint",
+            "--seed", "1")
+        assert code == 0
+        estimate = json.loads(out)["estimate"]
+        # Nearly Var(max of 10 Exp(1)) * gamma^2 = 1.55e-20.
+        assert 1e-20 < estimate < 2.5e-20, estimate
 
     def test_pareto_requires_alpha(self, capsys):
         code, _, err = run_cli(

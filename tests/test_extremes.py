@@ -189,6 +189,14 @@ class TestFunctionals:
         np.testing.assert_allclose(
             Functional.log_transform().evaluate(x, 0.0), x, atol=1e-12)
 
+    def test_log_transform_at_a_tiny_gamma_is_near_identity(self):
+        # log(1 + gamma*x) would round gamma*x to a multiple of 2**-52.
+        x = np.linspace(-2, 5, 50)
+        np.testing.assert_allclose(
+            Functional.log_transform().evaluate(x, 1e-10), x, rtol=1e-9, atol=0.0)
+        with pytest.raises(ValidationError, match="support"):
+            Functional.log_transform().evaluate(np.array([-1e10]), 1e-10)
+
     def test_indicator(self):
         h = Functional.indicator(0.25)
         np.testing.assert_array_equal(

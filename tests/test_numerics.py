@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from mocorr.errors import EvaluationError, ValidationError
 from mocorr.families import FAMILY_TABLE
-from mocorr.mo import CopulaParams, copula_cdf, sample_copula
+from mocorr.mo import CopulaParams, copula_cdf, pair_sample, sample_copula
 from mocorr.numerics import (
     BinnedOperator,
     QuadratureSpec,
@@ -106,7 +106,7 @@ class TestEcdfKs:
     def test_exact_value_at_battery_size(self, family, args, expected):
         record = FAMILY_TABLE[family]
         p = record.params(*args)
-        sample = record.sample(p, 100_000, RngStream(11))
+        sample = pair_sample(family, p, 100_000, RngStream(11))
         assert ecdf_ks(sample, lambda x, y: record.cdf(p, x, y)) == expected
 
     def test_sample_against_own_cdf_small(self):
