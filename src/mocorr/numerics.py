@@ -7,6 +7,9 @@ operator from a dense SVD.
 
 The ECDF distance sorts the sample once, by x then y, and takes both
 sides of every jump from one merge-counting pass over y in that order.
+
+The standard normal cdf and quantile (``ndtr``, ``ndtri``) are numpy
+rational approximations: Cody's ``erfc`` and Wichura's AS241.
 """
 
 from __future__ import annotations
@@ -76,6 +79,183 @@ def quad_2d(f, spec: QuadratureSpec = DEFAULT_QUAD_2D) -> float:
     return float(weights @ values @ weights)
 
 
+# ---------------------------------------------------------------------------
+# Standard normal cdf and quantile
+
+# Each tuple holds a polynomial's coefficients, highest degree first.
+# Cody (1969), "Rational Chebyshev approximations for the error function",
+# as in his CALERF: erf(y) = y * P(y^2) / Q(y^2) for |y| <= 0.46875 ...
+_ERF_NUM = (1.85777706184603153e-1, 3.16112374387056560e00, 1.13864154151050156e02,
+            3.77485237685302021e02, 3.20937758913846947e03)
+_ERF_DEN = (1.0, 2.36012909523441209e01, 2.44024637934444173e02,
+            1.28261652607737228e03, 2.84423683343917062e03)
+# ... exp(y^2) erfc(y) = P(y) / Q(y) for 0.46875 < y <= 4 ...
+_ERFC_NUM = (2.15311535474403846e-8, 5.64188496988670089e-1, 8.88314979438837594e00,
+             6.61191906371416295e01, 2.98635138197400131e02, 8.81952221241769090e02,
+             1.71204761263407058e03, 2.05107837782607147e03, 1.23033935479799725e03)
+_ERFC_DEN = (1.0, 1.57449261107098347e01, 1.17693950891312499e02,
+             5.37181101862009858e02, 1.62138957456669019e03, 3.29079923573345963e03,
+             4.36261909014324716e03, 3.43936767414372164e03, 1.23033935480374942e03)
+# ... and exp(y^2) erfc(y) = (1/sqrt(pi) - s P(s) / Q(s)) / y, s = 1/y^2, for y > 4.
+_ERFC_TAIL_NUM = (1.63153871373020978e-2, 3.05326634961232344e-1, 3.60344899949804439e-1,
+                  1.25781726111229246e-1, 1.60837851487422766e-2, 6.58749161529837803e-4)
+_ERFC_TAIL_DEN = (1.0, 2.56852019228982242e00, 1.87295284992346725e00,
+                  5.27905102951428412e-1, 6.05183413124413191e-2, 2.33520497626869185e-3)
+_RSQRT_PI = 5.6418958354775628695e-1
+_RSQRT_2 = 7.0710678118654752440e-1
+
+# Wichura (1988), AS241 (PPND16): the quantile at q = p - 1/2 is
+# q P(r) / Q(r), r = 0.180625 - q^2, for |q| <= 0.425 ...
+_AS241_NUM = (2.5090809287301226727e+3, 3.3430575583588128105e+4, 6.7265770927008700853e+4,
+              4.5921953931549871457e+4, 1.3731693765509461125e+4, 1.9715909503065514427e+3,
+              1.3314166789178437745e+2, 3.3871328727963666080e+0)
+_AS241_DEN = (5.2264952788528545610e+3, 2.8729085735721942674e+4, 3.9307895800092710610e+4,
+              2.1213794301586595867e+4, 5.3941960214247511077e+3, 6.8718700749205790830e+2,
+              4.2313330701600911252e+1, 1.0)
+# ... and in the tails +-P(r) / Q(r) on r = sqrt(-log(min(p, 1 - p))) - 1.6
+# for r <= 5 ...
+_AS241_MID_NUM = (7.74545014278341407640e-4, 2.27238449892691845833e-2,
+                  2.41780725177450611770e-1, 1.27045825245236838258e+0,
+                  3.64784832476320460504e+0, 5.76949722146069140550e+0,
+                  4.63033784615654529590e+0, 1.42343711074968357734e+0)
+_AS241_MID_DEN = (1.05075007164441684324e-9, 5.47593808499534494600e-4,
+                  1.51986665636164571966e-2, 1.48103976427480074590e-1,
+                  6.89767334985100004550e-1, 1.67638483018380384940e+0,
+                  2.05319162663775882187e+0, 1.0)
+# ... and on r = sqrt(-log(min(p, 1 - p))) - 5 beyond.
+_AS241_TAIL_NUM = (2.01033439929228813265e-7, 2.71155556874348757815e-5,
+                   1.24266094738807843860e-3, 2.65321895265761230930e-2,
+                   2.96560571828504891230e-1, 1.78482653991729133580e+0,
+                   5.46378491116411436990e+0, 6.65790464350110377720e+0)
+_AS241_TAIL_DEN = (2.04426310338993978564e-15, 1.42151175831644588870e-7,
+                   1.84631831751005468180e-5, 7.86869131145613259100e-4,
+                   1.48753612908506148525e-2, 1.36929880922735805310e-1,
+                   5.99832206555887937690e-1, 1.0)
+
+
+def _ratio(num, den, x: np.ndarray) -> np.ndarray:
+    """``num(x) / den(x)``, both by Horner's rule in place."""
+    top = np.multiply(x, num[0])
+    bottom = np.multiply(x, den[0])
+    for c, d in zip(num[1:-1], den[1:-1]):
+        top += c
+        top *= x
+        bottom += d
+        bottom *= x
+    top += num[-1]
+    bottom += den[-1]
+    top /= bottom
+    return top
+
+
+def _split(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices where ``mask`` holds and where it does not.
+
+    Gathering and scattering by index is several times faster than by a
+    boolean mask when the mask changes at random from element to element.
+    """
+    return np.flatnonzero(mask), np.flatnonzero(~mask)
+
+
+#: Elements per block of :func:`ndtr` and :func:`ndtri`: a block's dozen
+#: temporaries stay in cache, which makes the kernels 2-3x faster at 1e6.
+_NORMAL_BLOCK = 1 << 14
+
+
+def _blockwise(kernel, a):
+    """``kernel(block, out)`` over the float array ``a`` one flat block at a time."""
+    a = np.asarray(a, dtype=float)
+    flat = a.ravel()
+    out = np.empty(flat.shape)
+    for start in range(0, flat.size, _NORMAL_BLOCK):
+        stop = start + _NORMAL_BLOCK
+        kernel(flat[start:stop], out[start:stop])
+    out = out.reshape(a.shape)
+    return out if out.ndim else float(out)
+
+
+def _ndtr_block(a: np.ndarray, out: np.ndarray) -> None:
+    x = a * _RSQRT_2
+    central, tail = _split(np.abs(x) <= 0.46875)
+    xc = x.take(central)
+    erf = _ratio(_ERF_NUM, _ERF_DEN, xc * xc)
+    erf *= xc
+    erf *= 0.5
+    erf += 0.5
+    out.put(central, erf)
+    # |a| >= 40 gives 0 or 1 either way; the clip keeps y * y finite and
+    # inf out of a - h.
+    at = np.clip(a.take(tail), -40.0, 40.0)
+    y = np.abs(at) * _RSQRT_2
+    half = np.empty(y.shape)  # exp(y^2) erfc(y) until the factors below
+    mid, far = _split(y <= 4.0)
+    half.put(mid, _ratio(_ERFC_NUM, _ERFC_DEN, y.take(mid)))
+    yf = y.take(far)
+    s = 1.0 / (yf * yf)
+    r = _ratio(_ERFC_TAIL_NUM, _ERFC_TAIL_DEN, s)
+    r *= s
+    np.subtract(_RSQRT_PI, r, out=r)
+    r /= yf
+    half.put(far, r)
+    h = np.trunc(at * 16.0)
+    h /= 16.0
+    d = at - h
+    d *= at + h
+    d *= -0.5
+    h *= h
+    h *= -0.5
+    half *= np.exp(h, out=h)
+    half *= np.exp(d, out=d)
+    half *= 0.5  # erfc(y) / 2
+    # ndtr(a) is erfc(y)/2 below 0 and 1 - erfc(y)/2 above: 0 or 1 minus +-half.
+    np.copysign(half, at, out=half)
+    np.subtract(at > 0.0, half, out=half)
+    out.put(tail, half)
+
+
+def ndtr(a):
+    """Standard normal cdf, within 5 ulp wherever it is a normal float.
+
+    Cody's rational ``erfc`` at ``x = a / sqrt(2)``, one range at a time
+    (``|x| <= 0.46875``, ``<= 4``, beyond).  Outside the central range the
+    Gaussian factor comes from ``a`` itself, as
+    ``exp(-h^2/2) * exp(-(a - h)(a + h)/2)`` with ``h = trunc(16a)/16``,
+    so rounding ``x`` costs no accuracy in the tails.  ``ndtr(-inf) = 0``
+    and ``ndtr(inf) = 1``.
+    """
+    return _blockwise(_ndtr_block, a)
+
+
+def _ndtri_block(p: np.ndarray, out: np.ndarray) -> None:
+    q = p - 0.5
+    central, tail = _split(np.abs(q) <= 0.425)
+    qc = q.take(central)
+    z = _ratio(_AS241_NUM, _AS241_DEN, 0.180625 - qc * qc)
+    z *= qc
+    out.put(central, z)
+    qt = q.take(tail)
+    pt = p.take(tail)
+    r = np.where(qt < 0.0, pt, 1.0 - pt)  # min(p, 1 - p), exact
+    z = np.where(r == 0.0, np.inf, np.nan)
+    inside = np.flatnonzero(r > 0.0)
+    s = np.sqrt(-np.log(r.take(inside)))
+    near, far = _split(s <= 5.0)
+    s.put(near, _ratio(_AS241_MID_NUM, _AS241_MID_DEN, s.take(near) - 1.6))
+    s.put(far, _ratio(_AS241_TAIL_NUM, _AS241_TAIL_DEN, s.take(far) - 5.0))
+    z.put(inside, s)
+    out.put(tail, np.copysign(z, qt))
+
+
+def ndtri(p):
+    """Standard normal quantile, within 5 ulp on [1e-300, 1 - 1e-16].
+
+    Wichura's AS241 (the coefficients of the pure-Python fallback of
+    ``statistics.NormalDist.inv_cdf``), one range at a time.
+    ``ndtri(0) = -inf``, ``ndtri(1) = inf``; NaN outside [0, 1].
+    """
+    return _blockwise(_ndtri_block, p)
+
+
 def _pairs(sample) -> np.ndarray:
     """The ``(n, 2)`` float pairs of a :class:`~mocorr.mo.PairSample` or array, ``n >= 1``."""
     pairs = np.asarray(getattr(sample, "pairs", sample), dtype=float)
@@ -119,15 +299,18 @@ def _count_prev(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         block = ys.reshape(pairs, 2 * width)
         pos_block = pos.reshape(pairs, 2 * width)
         # Rows are value-disjoint after offsetting, so one flat search works.
+        # Its temporaries die with the statement, before the sort.
         row_off = (np.arange(pairs, dtype=np.int64) * offset)[:, None]
-        flat_left = (block[:, :width] + row_off).ravel()
-        flat_right = (block[:, width:] + row_off).ravel()
-        located = np.searchsorted(flat_left, flat_right, side="right")
-        located -= np.repeat(np.arange(pairs, dtype=np.int64) * width, width)
-        le[pos_block[:, width:].ravel()] += located
+        le[pos_block[:, width:].ravel()] += np.searchsorted(
+            (block[:, :width] + row_off).ravel(), (block[:, width:] + row_off).ravel(),
+            side="right") - np.repeat(np.arange(pairs, dtype=np.int64) * width, width)
         order = np.argsort(block, axis=1, kind="stable")
-        ys = np.take_along_axis(block, order, axis=1).ravel()
-        pos = np.take_along_axis(pos_block, order, axis=1).ravel()
+        # Each old array goes as soon as its sorted copy exists: this sets
+        # the peak memory of `mocorr verify`.
+        del block, pos_block
+        ys = np.take_along_axis(ys.reshape(pairs, 2 * width), order, axis=1).ravel()
+        pos = np.take_along_axis(pos.reshape(pairs, 2 * width), order, axis=1).ravel()
+        del order
         width *= 2
     equal_before = np.empty(size, dtype=np.int64)
     equal_before[pos] = np.arange(size) - _run_starts(ys)

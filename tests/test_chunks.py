@@ -14,7 +14,7 @@ from mocorr.errors import ValidationError
 from mocorr.families import FAMILY_TABLE
 from mocorr.maxcorr import estimate_max_corr
 from mocorr.mo import PairChunks, PairSample, pair_chunks, pair_sample
-from mocorr.numerics import _BIN_ROWS, bin_pairs
+from mocorr.numerics import _BIN_ROWS, bin_pairs, ndtr
 from mocorr.rng import RngStream, draw_iid, draw_uniforms
 
 PARAMS = {
@@ -60,7 +60,6 @@ def _old_limit_gev(p, n, rng):
 
 
 def _old_gaussian(rho, n, rng):
-    from scipy.special import ndtr
     z = draw_iid(rng, n, lambda g, size: g.standard_normal((size, 2)))
     z2 = rho * z[:, 0] + math.sqrt(1.0 - rho * rho) * z[:, 1]
     return np.column_stack([ndtr(z[:, 0]), ndtr(z2)])

@@ -705,17 +705,49 @@ class TestParsing:
         assert proc.returncode == 0
         assert "sample" in proc.stdout and "verify" in proc.stdout
 
-    def test_import_leaves_scipy_unloaded(self):
-        # scipy.special is most of the package import time and only the
-        # gaussian family needs it; that path loads it on first use.
-        probe = ("import sys, mocorr; "
-                 "print(sorted({'scipy.special', 'scipy.linalg'} & set(sys.modules)))")
-        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+    def test_import_leaves_scipy_unloaded(self, tmp_path):
+        # numpy is the only runtime dependency: with every scipy import
+        # made to fail, every subcommand runs on every family it takes.
+        family_args = {
+            "copula": ["--phi", "0.3", "--psi", "0.7"],
+            "d_xi": ["--xi", "0.5"],
+            "mo": ["--l1", "1", "--l2", "2", "--l12", "1.5"],
+            "limit_gev": ["--zeta", "0.3", "--gamma", "0.2"],
+            "gaussian": ["--rho", "0.6"],
+        }
+        assert sorted(family_args) == sorted(FAMILIES)
+        runs = []
+        for family, args in family_args.items():
+            fam = ["--family", family, *args]
+            runs += [["sample", *fam, "-n", "2000", "--out", str(tmp_path / f"{family}.csv")],
+                     ["cdf-eval", *fam, "--at", "0.3", "0.7", "--at", "1", "0"],
+                     ["maxcorr", *fam, "-n", "100000", "--m", "32"]]
+        runs += [["corr", "--family", "copula", "--phi", "0.3", "--psi", "0.7", "--k", "1"],
+                 ["corr", "--family", "d_xi", "--xi", "0.5", "--k", "1"],
+                 ["variance", "--h", "identity", "--gamma", "0", "--n-mc", "2000",
+                  "--zeta-nodes", "4", "--blocksim-dist", "exp", "--blocksim-r", "10",
+                  "--blocksim-blocks", "100"]]
+        runs += [["blocksim", "--dist", *dist, "--r", "10", "--n-blocks", "100"]
+                 for dist in (["exp"], ["pareto", "--alpha", "5"], ["uniform"])]
+        runs += [["verify", "--quick"]]
+        probe = ("import contextlib, io, json, sys\n"
+                 "sys.modules['scipy'] = None\n"
+                 "from mocorr.cli import main\n"
+                 "results = []\n"
+                 "for argv in json.loads(sys.argv[1]):\n"
+                 "    out = io.StringIO()\n"
+                 "    with contextlib.redirect_stdout(out):\n"
+                 "        results.append([main(argv), out.getvalue()])\n"
+                 "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+                 "print(json.dumps([results, loaded]))\n")
         proc = subprocess.run(
-            [sys.executable, "-m", "mocorr.cli", "maxcorr", "--family", "gaussian",
-             "--rho", "0.6", "-n", "100000", "--m", "32"],
+            [sys.executable, "-W", "error::RuntimeWarning", "-c", probe, json.dumps(runs)],
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout)["abs_error"] < 0.02
+        results, loaded = json.loads(proc.stdout)
+        failed = [argv for argv, (code, _) in zip(runs, results) if code != 0]
+        assert not failed, proc.stderr
+        assert loaded == ["scipy"]
+        gaussian = runs.index(["maxcorr", "--family", "gaussian", "--rho", "0.6",
+                               "-n", "100000", "--m", "32"])
+        assert json.loads(results[gaussian][1])["abs_error"] < 0.02

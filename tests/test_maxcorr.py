@@ -24,7 +24,7 @@ from mocorr.maxcorr import (
     var_fk,
 )
 from mocorr.mo import CopulaParams, DXiParam, MOParams, copula_cdf, sample_copula, sample_d_xi
-from mocorr.numerics import QuadratureSpec, ecdf_ks, quad_2d
+from mocorr.numerics import QuadratureSpec, ecdf_ks, ndtr, ndtri, quad_2d
 from mocorr.rng import RngStream
 
 unit = st.floats(min_value=0.0, max_value=1.0)
@@ -337,8 +337,7 @@ class TestGaussian:
 
     @staticmethod
     def full_width_cdf(rho, u, v):
-        """The cdf with all 64 nodes on every point in one ``(n, 64)`` pass."""
-        from scipy.special import ndtr, ndtri
+        """The cdf with all 64 nodes on every point in one ``(..., 64)`` pass."""
         a, b = np.broadcast_arrays(np.atleast_1d(u), np.atleast_1d(v))
         x = np.clip(ndtri(np.clip(a, 1e-300, 1.0)), -8.0, 8.0)
         y = np.clip(ndtri(np.clip(b, 1e-300, 1.0)), -8.0, 8.0)
@@ -347,36 +346,43 @@ class TestGaussian:
         t = (nodes + 1.0) * (rho / 2.0)
         w = weights * (rho / 2.0)
         one_minus = 1.0 - t * t
-        expo = -(x[..., None] ** 2 - 2.0 * t * x[..., None] * y[..., None]
-                 + y[..., None] ** 2) / (2.0 * one_minus)
-        base = base + np.tensordot(np.exp(expo) / np.sqrt(one_minus), w,
-                                   axes=([-1], [0])) / (2.0 * math.pi)
-        return np.clip(base, 0.0, 1.0)
+        e = np.exp(-(x[..., None] ** 2 - 2.0 * t * x[..., None] * y[..., None]
+                     + y[..., None] ** 2) / (2.0 * one_minus))
+        e /= np.sqrt(one_minus)
+        e *= w
+        return np.clip(base + e.sum(axis=-1) / (2.0 * math.pi), 0.0, 1.0)
 
     @pytest.mark.parametrize("rho", [0.6, -0.85, 0.3])
     def test_cdf_row_blocks_match_full_width(self, rho):
-        # Up to R points the oracle runs on the whole input. Past R it runs
-        # on the same R-row slices: a multithreaded BLAS splits one
-        # tensordot between its threads at rows that depend on n, and a row
-        # at a split is summed by another kernel, so one full-width call
-        # agrees only to within a few ulps there.
         R = maxcorr._GAUSS_CDF_ROWS
         gen = RngStream(80).generator()
-
-        def sliced(u, v):
-            a, b = (np.ravel(z) for z in np.broadcast_arrays(u, v))
-            parts = [self.full_width_cdf(rho, a[i:i + R], b[i:i + R])
-                     for i in range(0, a.size, R)]
-            return np.concatenate(parts).reshape(np.broadcast_shapes(u.shape, v.shape))
-
         grid = np.linspace(0.0, 1.0, 101)
         cases = [gen.random((2, n)) for n in (1, R - 1, R, R + 1, 3 * R + 5)]
         cases += [(grid[:40, None], grid[None, :40]), (grid[:, None], grid[None, :])]
         for u, v in cases:
-            got = gaussian_copula_cdf(rho, u, v)
-            assert np.array_equal(got, sliced(u, v))
-            np.testing.assert_allclose(got, self.full_width_cdf(rho, u, v),
-                                       rtol=0, atol=1e-15)
+            assert np.array_equal(gaussian_copula_cdf(rho, u, v),
+                                  self.full_width_cdf(rho, u, v))
+
+    @pytest.mark.parametrize("rho", [0.6, -0.85, 0.9999999])
+    def test_cdf_value_independent_of_batch(self, rho):
+        # A point's value is the same alone, at any place in any batch, and
+        # in a broadcast grid. Reversing a batch moves every point to
+        # another row and, past R rows, to another block.
+        R = maxcorr._GAUSS_CDF_ROWS
+        gen = RngStream(81).generator()
+        for n in (1, R - 1, R, R + 1, 3 * R + 5):
+            u, v = gen.random((2, n))
+            batch = gaussian_copula_cdf(rho, u, v)
+            assert np.array_equal(gaussian_copula_cdf(rho, u[::-1], v[::-1])[::-1], batch)
+            picks = {0, n - 1, R - 1, R, R + 1, *gen.integers(0, n, 40)}
+            for i in sorted(k for k in picks if k < n):
+                assert gaussian_copula_cdf(rho, u[i], v[i]) == batch[i]
+        u, v = gen.random(30)[:, None], gen.random(20)[None, :]
+        grid = gaussian_copula_cdf(rho, u, v)
+        a, b = np.broadcast_arrays(u, v)
+        assert np.array_equal(gaussian_copula_cdf(rho, a.ravel(), b.ravel()), grid.ravel())
+        for i, j in ((0, 0), (29, 19), (7, 11)):
+            assert gaussian_copula_cdf(rho, u[i, 0], v[0, j]) == grid[i, j]
 
     def test_cdf_rejects_nan(self):
         with pytest.raises(ValidationError, match=r"\[0, 1\]"):
