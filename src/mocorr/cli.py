@@ -120,30 +120,18 @@ def cmd_cdf_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_corr(args: argparse.Namespace) -> int:
-    _, p = _family_params(args)
+    family, p = _family_params(args)
     if args.family == "copula":
         idx = maxcorr.PowerIndex(args.k, args.ell if args.ell is not None else args.k)
-        report = {
-            "family": "copula",
-            "params": p.as_dict(),
-            "k": idx.k,
-            "ell": idx.ell,
-            "cov": maxcorr.power_cov(p, idx),
-            "var_k": maxcorr.var_fk(idx.k),
-            "var_ell": maxcorr.var_fk(idx.ell),
-            "corr": maxcorr.power_corr(p, idx),
-            "max_corr": maxcorr.max_corr_closed(p),
-        }
+        report = {"k": idx.k, "ell": idx.ell, "cov": maxcorr.power_cov(p, idx),
+                  "var_k": maxcorr.var_fk(idx.k), "var_ell": maxcorr.var_fk(idx.ell),
+                  "corr": maxcorr.power_corr(p, idx)}
     else:
         if args.ell is not None:
             raise ValidationError("--ell does not apply to --family d_xi")
-        report = {
-            "family": "d_xi",
-            "params": p.as_dict(),
-            "k": args.k,
-            "corr": maxcorr.power_corr(p.copula, maxcorr.PowerIndex(args.k * p.xi, args.k)),
-            "max_corr": maxcorr.max_corr_closed(p.copula),
-        }
+        idx = maxcorr.PowerIndex(args.k * p.xi, args.k)
+        report = {"k": args.k, "corr": maxcorr.power_corr(p.copula, idx)}
+    report.update(family=args.family, params=family.as_dict(p), max_corr=family.max_corr(p))
     report["gap"] = report["max_corr"] - report["corr"]
     _emit(report, args.out)
     return 0
@@ -181,13 +169,9 @@ def cmd_variance(args: argparse.Namespace) -> int:
     report = extremes.sigma2_sb(h, g, quad, args.n_mc, RngStream(args.seed))
     payload = report.to_report()
     if args.blocksim_dist is not None:
-        sim_stream = RngStream(args.seed, stream_id=1)
-        payload["block_simulation"] = {
-            mode: extremes.block_maxima_simulate(
-                args.blocksim_dist, args.blocksim_r, args.blocksim_blocks,
-                mode, h, sim_stream.child(i), alpha=args.alpha).to_report()
-            for i, mode in enumerate(("disjoint", "sliding"))
-        }
+        payload["block_simulation"] = _simulate(
+            args.blocksim_dist, args.blocksim_r, args.blocksim_blocks,
+            ("disjoint", "sliding"), h, RngStream(args.seed, stream_id=1), args.alpha)
     if args.format == "csv":
         _emit_csv("zeta,cov,se", report.per_zeta, args.out)
     else:
@@ -204,16 +188,18 @@ def cmd_variance(args: argparse.Namespace) -> int:
     return 0
 
 
+def _simulate(dist: str, r: int, n_blocks: int, modes, h: extremes.Functional,
+              stream: RngStream, alpha: float | None) -> dict:
+    """One block-simulation report per mode, the i-th on ``stream.child(i)``."""
+    return {mode: extremes.block_maxima_simulate(dist, r, n_blocks, mode, h, stream.child(i),
+                                                 alpha=alpha).to_report()
+            for i, mode in enumerate(modes)}
+
+
 def cmd_blocksim(args: argparse.Namespace) -> int:
-    h = _functional(args)
     modes = ("disjoint", "sliding") if args.mode == "both" else (args.mode,)
-    stream = RngStream(args.seed)
-    reports = {}
-    for i, mode in enumerate(modes):
-        result = extremes.block_maxima_simulate(
-            args.dist, args.r, args.n_blocks, mode, h, stream.child(i),
-            alpha=args.alpha)
-        reports[mode] = result.to_report()
+    reports = _simulate(args.dist, args.r, args.n_blocks, modes, _functional(args),
+                        RngStream(args.seed), args.alpha)
     if len(reports) == 1:
         _emit(next(iter(reports.values())), args.out)
     else:

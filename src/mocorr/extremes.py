@@ -17,13 +17,13 @@ iid sequences with disjoint or sliding block maxima.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import DivergentMomentError, EvaluationError, ValidationError, _check_floats
 from .mo import CopulaParams, PairSample, copula_cdf, pair_sample
-from .numerics import QuadratureSpec
+from .numerics import QuadratureSpec, _check_range
 from .rng import RngStream, draw_iid, draw_uniforms
 
 #: Default rule for the overlap integral.
@@ -67,8 +67,7 @@ def gev_cdf(g: GEVShape, x):
     ``gamma`` is the Gumbel case.
     """
     a = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(a)):
-        raise ValidationError("x must be finite")
+    _check_range((a,), -np.inf, np.inf, "x must be finite")
     if abs(g.gamma) < _GAMMA_TINY:
         out = np.exp(-np.exp(-a))
         return out if out.ndim else float(out)
@@ -269,11 +268,11 @@ class VarianceReport:
     sigma2_sb_se: float
     ratio: float
     degenerate: bool
-    per_zeta: list = field(default_factory=list)
-    h: dict = field(default_factory=dict)
-    gamma: float = 0.0
-    n: int = 0
-    seed: RngStream | None = None
+    per_zeta: list
+    h: dict
+    gamma: float
+    n: int
+    seed: RngStream
 
     def __post_init__(self):
         if not self.degenerate and (self.sigma2_db < 0 or self.sigma2_sb < -1e-12):
@@ -598,8 +597,8 @@ class BlockSimResult:
     gamma: float
     a_r: float
     b_r: float
-    h: dict = field(default_factory=dict)
-    seed: RngStream | None = None
+    h: dict
+    seed: RngStream
 
     def to_report(self) -> dict:
         return asdict(self)

@@ -43,7 +43,7 @@ class MaxCorrEstimate:
     residual: float
     family: str
     params: dict
-    seed: RngStream | None = None
+    seed: RngStream | None
 
     def __post_init__(self):
         if not 0.0 <= self.value <= 1.0:
@@ -213,8 +213,10 @@ def gaussian_copula_cdf(rho: float, u, v):
     int_0^rho exp(-(x^2 - 2txy + y^2) / (2(1-t^2))) / sqrt(1-t^2) dt``
     with 64 nodes, ``x = ndtri(u)`` and ``y = ndtri(v)`` from
     :mod:`mocorr.numerics`; quantiles are clipped to |x| <= 8, which
-    bounds the error by ~1e-15.  Each point's 64 terms are summed along
-    its own row, so its value does not depend on the rest of the batch.
+    bounds the error by ~1e-15.  On the square's edges the value is
+    ``min(u, v)`` exactly, as for every copula.  Each point's 64 terms
+    are summed along its own row, so its value does not depend on the
+    rest of the batch.
     """
     rho = _check_rho(rho)
     a, b = np.broadcast_arrays(*map(np.atleast_1d, _unit_pair(u, v)))
@@ -236,5 +238,6 @@ def gaussian_copula_cdf(rho: float, u, v):
             e *= w
             integral[i:i + _GAUSS_CDF_ROWS] = e.sum(axis=1)
         base = base + integral.reshape(base.shape) / (2.0 * math.pi)
-    out = np.clip(base, 0.0, 1.0)
+    edge = (a == 0.0) | (a == 1.0) | (b == 0.0) | (b == 1.0)
+    out = np.where(edge, np.minimum(a, b), np.clip(base, 0.0, 1.0))
     return out if np.ndim(u) or np.ndim(v) else float(out[0])

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError, _check_floats
-from .numerics import _pairs
+from .numerics import _check_range, _pairs
 from .rng import RngStream, draw_iid, iter_chunks
 from .serialize import canonical_json, write_csv
 
@@ -141,9 +141,9 @@ def pair_sample(family: str, p, n: int, rng: RngStream) -> PairSample:
 def pair_chunks(family: str, p, n: int, rng: RngStream) -> PairChunks:
     """Draw ``n`` pairs of ``family`` at params ``p`` lazily, chunk by chunk.
 
-    Each chunk comes from the family's per-chunk map, is checked as a
-    :class:`PairSample` checks its pairs, and is mapped onto [0, 1]^2 by
-    the family's ``to_copula`` (then checked there) where it has one.
+    Each chunk comes from the family's per-chunk map, is checked against
+    the family's support as a :class:`PairSample` is, and is mapped onto
+    [0, 1]^2 by its ``to_copula`` where it has one (the binning checks it there).
     The chunks concatenate to ``to_copula`` of :func:`pair_sample` at the
     same arguments, bit for bit, but no n-sized array is built.
     """
@@ -154,12 +154,7 @@ def pair_chunks(family: str, p, n: int, rng: RngStream) -> PairChunks:
     def chunks():
         for pairs in iter_chunks(rng, n, lambda g, size: record.chunk(p, g, size)):
             _check_support(pairs, family, params)
-            if record.to_copula is not None:
-                # The copula-scale pairs can lie outside the family's own
-                # support (limit_gev with gamma < -1).
-                pairs = record.to_copula(p, pairs)
-                _check_support(pairs, "copula", {})
-            yield pairs
+            yield pairs if record.to_copula is None else record.to_copula(p, pairs)
 
     return PairChunks(family, params, rng, n, chunks())
 
@@ -167,13 +162,9 @@ def pair_chunks(family: str, p, n: int, rng: RngStream) -> PairChunks:
 def _check_support(pairs: np.ndarray, family: str, params: dict) -> None:
     """Refuse non-finite pairs and pairs outside ``family``'s support."""
     low, high = _family(family).support(params)
-    # min/max propagate NaN and reach any infinity: one pass each.
-    lo, hi = pairs.min(), pairs.max()
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise ValidationError("pair coordinates must be finite")
-    if lo < low or hi > high:
-        raise ValidationError(
-            f"family {family!r} has coordinates outside [{low:g}, {high:g}]")
+    _check_range((pairs,), low, high,
+                 f"family {family!r} has coordinates outside [{low:g}, {high:g}]",
+                 "pair coordinates must be finite")
 
 
 def _family(name: str):
@@ -184,13 +175,11 @@ def _family(name: str):
     return FAMILY_TABLE[name]
 
 
-def _broadcast_pair(x1, x2, nonnegative: bool, name: str):
+def _broadcast_pair(x1, x2, name: str):
     a = np.asarray(x1, dtype=float)
     b = np.asarray(x2, dtype=float)
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise ValidationError(f"{name} coordinates must be finite")
-    if nonnegative and (np.any(a < 0) or np.any(b < 0)):
-        raise ValidationError(f"{name} coordinates must be nonnegative")
+    _check_range((a, b), 0.0, np.inf, f"{name} coordinates must be nonnegative",
+                 f"{name} coordinates must be finite")
     return a, b
 
 
@@ -200,7 +189,7 @@ def mo_survival(p: MOParams, x1, x2):
     Equals ``exp(-l1*x1 - l2*x2 - l12*max(x1, x2))``; broadcasts over
     array inputs.
     """
-    a, b = _broadcast_pair(x1, x2, nonnegative=True, name="survival")
+    a, b = _broadcast_pair(x1, x2, "survival")
     # An exponent past the float range is inf, and exp(-inf) = 0 is the value.
     with np.errstate(over="ignore"):
         expo = p.lambda1 * a + p.lambda2 * b + p.lambda12 * np.maximum(a, b)
@@ -214,8 +203,7 @@ def mo_marginal_survival(p: MOParams, which: int, x):
         raise ValidationError("which must be 1 or 2")
     rate = (p.lambda1 if which == 1 else p.lambda2) + p.lambda12
     a = np.asarray(x, dtype=float)
-    if np.any(a < 0) or not np.all(np.isfinite(a)):
-        raise ValidationError("coordinate must be nonnegative and finite")
+    _check_range((a,), 0.0, np.inf, "coordinate must be nonnegative and finite")
     with np.errstate(over="ignore"):
         out = np.exp(-rate * a)
     return out if out.ndim else float(out)
@@ -223,7 +211,7 @@ def mo_marginal_survival(p: MOParams, which: int, x):
 
 def mo_cdf(p: MOParams, x1, x2):
     """Joint cdf ``P(X1 <= x1, X2 <= x2)`` by inclusion-exclusion."""
-    a, b = _broadcast_pair(x1, x2, nonnegative=True, name="cdf")
+    a, b = _broadcast_pair(x1, x2, "cdf")
     out = 1.0 - mo_marginal_survival(p, 1, a) - mo_marginal_survival(p, 2, b) \
         + mo_survival(p, a, b)
     out = np.asarray(out)
@@ -241,9 +229,7 @@ def mo_to_copula(p: MOParams) -> CopulaParams:
 def _unit_pair(u, v):
     a = np.asarray(u, dtype=float)
     b = np.asarray(v, dtype=float)
-    if np.any(a < 0) or np.any(a > 1) or np.any(b < 0) or np.any(b > 1) \
-            or not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise ValidationError("copula arguments must lie in the unit square [0, 1]^2")
+    _check_range((a, b), 0.0, 1.0, "copula arguments must lie in the unit square [0, 1]^2")
     return a, b
 
 

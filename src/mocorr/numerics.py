@@ -266,6 +266,19 @@ def _pairs(sample) -> np.ndarray:
     return pairs
 
 
+def _check_range(arrays, low, high, message: str, finite_message: str | None = None):
+    """Refuse non-finite values, then values outside [low, high], in any of ``arrays``.
+
+    One ``min`` and one ``max`` per array (they propagate NaN and reach
+    any infinity) scan it twice; an empty array passes.
+    """
+    bounds = [(a.min(), a.max()) for a in arrays if a.size]
+    if not all(np.isfinite(lo) and np.isfinite(hi) for lo, hi in bounds):
+        raise ValidationError(finite_message or message)
+    if any(lo < low or hi > high for lo, hi in bounds):
+        raise ValidationError(message)
+
+
 # ---------------------------------------------------------------------------
 # Bivariate ECDF distance
 
@@ -348,9 +361,8 @@ def ecdf_ks(sample, cdf) -> float:
     """
     pairs = _pairs(sample)
     n = pairs.shape[0]
+    _check_range((pairs,), -np.inf, np.inf, "sample coordinates must be finite")
     x, y = pairs[:, 0], pairs[:, 1]
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise ValidationError("sample coordinates must be finite")
     target = np.asarray(cdf(x, y), dtype=float)
     if target.shape != x.shape:
         raise ValidationError("cdf must return one value per sample point")
@@ -431,22 +443,17 @@ def bin_pairs(sample, m: int) -> BinnedOperator:
     Coordinates must lie in [0, 1]; the value 1.0 falls in the last bin.
     Bin ``k`` is ``[e_k, e_{k+1})`` with ``e = linspace(0, 1, m + 1)``,
     so the counts equal those of ``np.histogram2d`` on ``[0, 1]^2``.
-    A :class:`~mocorr.mo.PairSample` of a copula-scale family checked
-    its range on construction and is not scanned again.  A
-    :class:`~mocorr.mo.PairChunks` is binned chunk by chunk as it is
-    drawn (its chunks are checked as they come), so no n-sized array
-    exists; both kinds go through one block kernel and give the same
-    integer counts for the same pairs.
+    A :class:`~mocorr.mo.PairChunks` is binned chunk by chunk as it is
+    drawn, so no n-sized array exists; an array or a
+    :class:`~mocorr.mo.PairSample` is one chunk.  Every block is
+    range-checked as it is binned, whatever its source (a sample's pairs
+    can change after it was built), and all go through one block kernel,
+    which gives the same integer counts for the same pairs.
     """
     m = _check_bins(m)
     chunks = getattr(sample, "chunks", None)
     if chunks is None:
-        pairs = _pairs(sample)
-        # min/max propagate NaN, so the comparison also rejects it.
-        if not getattr(sample, "copula_scale", False) \
-                and not (pairs.min() >= 0.0 and pairs.max() <= 1.0):
-            raise ValidationError("coordinates must lie in [0, 1] (copula scale)")
-        chunks = (pairs,)
+        chunks = (_pairs(sample),)
     edges = np.linspace(0.0, 1.0, m + 1)
     # x * m can round across an edge by one ulp, so check against the
     # edges themselves; the infinite ends send x = 1 to the last bin.
@@ -456,6 +463,7 @@ def bin_pairs(sample, m: int) -> BinnedOperator:
     for pairs in chunks:
         for start in range(0, pairs.shape[0], _BIN_ROWS):
             x = pairs[start:start + _BIN_ROWS].ravel()  # u0, v0, u1, v1, ...
+            _check_range((x,), 0.0, 1.0, "coordinates must lie in [0, 1] (copula scale)")
             idx = (x * m).astype(np.intp)
             idx -= x < lower[idx]
             idx += x >= upper[idx]

@@ -206,22 +206,27 @@ def check_power_consistency(sizes: BatterySizes, rng: RngStream) -> CheckResult:
         rebuilt = maxcorr.power_cov(c, idx) / math.sqrt(
             maxcorr.var_fk(idx.k) * maxcorr.var_fk(idx.ell))
         worst_identity = max(worst_identity, abs(corr - rebuilt))
-        worst_bound = max(worst_bound, corr - maxcorr.max_corr_closed(c))
+        worst_bound = max(worst_bound, corr - FAMILY_TABLE["copula"].max_corr(c))
     passed = worst_identity <= 1e-12 and worst_bound <= 1e-12
     return CheckResult("power-corr-consistency", passed,
                        f"identity gap {worst_identity:.3e}, bound excess {worst_bound:.3e}")
 
 
+def _estimate_errors(family: str, params, sizes: BatterySizes, rng: RngStream):
+    """``|estimate - FAMILY_TABLE[family].max_corr(p)|``, the i-th ``p`` on ``rng.child(i)``."""
+    for i, p in enumerate(params):
+        est = maxcorr.estimate_max_corr(mo.pair_chunks(family, p, sizes.est_n, rng.child(i)),
+                                        m=sizes.est_m)
+        yield abs(est.value - FAMILY_TABLE[family].max_corr(p))
+
+
 def check_estimator_closed_form(sizes: BatterySizes, rng: RngStream) -> CheckResult:
     """Spectral estimate within 0.02 of sqrt(phi*psi)."""
     gen = rng.generator()
+    cases = [_random_copula(gen) for _ in range(sizes.est_cases)]
     worst = 0.0
     worst_name = ""
-    for i in range(sizes.est_cases):
-        c = _random_copula(gen)
-        sample = mo.pair_chunks("copula", c, sizes.est_n, rng.child(i))
-        est = maxcorr.estimate_max_corr(sample, m=sizes.est_m)
-        err = abs(est.value - maxcorr.max_corr_closed(c))
+    for c, err in zip(cases, _estimate_errors("copula", cases, sizes, rng)):
         if err > worst:
             worst, worst_name = err, f"phi={c.phi:.3f}, psi={c.psi:.3f}"
     return CheckResult("estimator-vs-closed-form", worst <= 0.02,
@@ -230,25 +235,19 @@ def check_estimator_closed_form(sizes: BatterySizes, rng: RngStream) -> CheckRes
 
 def check_dxi_estimator(sizes: BatterySizes, rng: RngStream) -> CheckResult:
     """Section-family estimate within 0.02 of sqrt(xi)."""
-    worst = 0.0
-    for i, xi in enumerate((0.5, 0.75)[: max(1, sizes.est_cases - 1)]):
-        d = mo.DXiParam(xi)
-        sample = mo.pair_chunks("d_xi", d, sizes.est_n, rng.child(i))
-        est = maxcorr.estimate_max_corr(sample, m=sizes.est_m)
-        worst = max(worst, abs(est.value - maxcorr.max_corr_closed(d.copula)))
+    cases = [mo.DXiParam(xi) for xi in (0.5, 0.75)[: max(1, sizes.est_cases - 1)]]
+    worst = max(_estimate_errors("d_xi", cases, sizes, rng))
     return CheckResult("section-family-estimate", worst <= 0.02,
                        f"max |estimate - sqrt(xi)| = {worst:.4f}")
 
 
 def check_gaussian_oracle(sizes: BatterySizes, rng: RngStream) -> CheckResult:
     """Gaussian copula estimate within 0.02 of |rho| (0.05 at independence)."""
-    est0, est6 = (maxcorr.estimate_max_corr(
-        mo.pair_chunks("gaussian", rho, sizes.est_n, rng.child(i)), m=sizes.est_m)
-        for i, rho in enumerate((0.0, 0.6)))
-    err6 = abs(est6.value - 0.6)
-    passed = est0.value <= 0.05 and err6 <= 0.02
+    # At rho = 0 the closed form is 0, so the error is the estimate itself.
+    err0, err6 = _estimate_errors("gaussian", (0.0, 0.6), sizes, rng)
+    passed = err0 <= 0.05 and err6 <= 0.02
     return CheckResult("gaussian-oracle", passed,
-                       f"independence estimate {est0.value:.4f}, |rho=0.6 error| {err6:.4f}")
+                       f"independence estimate {err0:.4f}, |rho=0.6 error| {err6:.4f}")
 
 
 def check_variance_inequality(sizes: BatterySizes, rng: RngStream) -> CheckResult:

@@ -180,7 +180,7 @@ class TestChecksBeforeTheDraw:
 @pytest.mark.parametrize("family,target,value,message", [
     ("copula", "_copula_chunk", np.nan, "pair coordinates must be finite"),
     ("mo", "_mo_chunk", -1.0, "family 'mo' has coordinates outside [0, inf]"),
-    ("mo", "mo_marginal_survival", 1.5, "family 'copula' has coordinates outside [0, 1]"),
+    ("mo", "mo_marginal_survival", 1.5, "coordinates must lie in [0, 1] (copula scale)"),
 ])
 def test_each_chunk_is_checked_like_a_pair_sample(monkeypatch, capsys, family, target,
                                                   value, message):
@@ -192,6 +192,31 @@ def test_each_chunk_is_checked_like_a_pair_sample(monkeypatch, capsys, family, t
     assert main(["maxcorr", "--family", family, *ARGS[family], "-n", "50000",
                  "--m", "8"]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("value", [1.5, np.nan])
+def test_a_sample_edited_after_construction_is_refused(value):
+    # The binning checks every block it bins; it trusts no flag of the sample.
+    sample = pair_sample("copula", PARAMS["copula"], 50_000, RngStream(5))
+    sample.pairs[0, 0] = value
+    with pytest.raises(ValidationError,
+                       match=r"^coordinates must lie in \[0, 1\] \(copula scale\)$"):
+        estimate_max_corr(sample, m=8)
+
+
+@pytest.mark.parametrize("check,family,wrong", [
+    (verify.check_estimator_closed_form, "copula", lambda c: c.phi * c.psi),
+    (verify.check_power_consistency, "copula", lambda c: c.phi * c.psi),
+    (verify.check_dxi_estimator, "d_xi", lambda d: d.xi),
+    (verify.check_gaussian_oracle, "gaussian", lambda rho: rho * rho),
+])
+def test_verify_scores_against_the_table_closed_form(monkeypatch, check, family, wrong):
+    rng = RngStream(23)
+    right = check(verify.QUICK_SIZES, rng)
+    monkeypatch.setitem(FAMILY_TABLE, family,
+                        dataclasses.replace(FAMILY_TABLE[family], max_corr=wrong))
+    result = check(verify.QUICK_SIZES, rng)
+    assert not result.passed and result.detail != right.detail
 
 
 @pytest.mark.parametrize("family", sorted(PARAMS))

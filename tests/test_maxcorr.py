@@ -337,7 +337,10 @@ class TestGaussian:
 
     @staticmethod
     def full_width_cdf(rho, u, v):
-        """The cdf with all 64 nodes on every point in one ``(..., 64)`` pass."""
+        """The cdf with all 64 nodes on every point in one ``(..., 64)`` pass.
+
+        On the square's edges it is ``min(u, v)``, as every copula is.
+        """
         a, b = np.broadcast_arrays(np.atleast_1d(u), np.atleast_1d(v))
         x = np.clip(ndtri(np.clip(a, 1e-300, 1.0)), -8.0, 8.0)
         y = np.clip(ndtri(np.clip(b, 1e-300, 1.0)), -8.0, 8.0)
@@ -350,7 +353,9 @@ class TestGaussian:
                      + y[..., None] ** 2) / (2.0 * one_minus))
         e /= np.sqrt(one_minus)
         e *= w
-        return np.clip(base + e.sum(axis=-1) / (2.0 * math.pi), 0.0, 1.0)
+        out = np.clip(base + e.sum(axis=-1) / (2.0 * math.pi), 0.0, 1.0)
+        edge = (a == 0.0) | (a == 1.0) | (b == 0.0) | (b == 1.0)
+        return np.where(edge, np.minimum(a, b), out)
 
     @pytest.mark.parametrize("rho", [0.6, -0.85, 0.3])
     def test_cdf_row_blocks_match_full_width(self, rho):

@@ -193,13 +193,10 @@ def test_internal_to_the_package():
     assert not {"ndtr", "ndtri"} & set(mocorr.__all__)
 
 
-#: ``cdf-eval --family gaussian`` values before the numpy normal functions,
-#: from scipy's ``ndtr``/``ndtri`` and a BLAS ``tensordot`` over the nodes.
-GAUSSIAN_CDF_EVAL = {
-    -0.9999999: [0.0, 1.9262080156246092e-17, 0.9999999999999987],
-    0.6: [6.220960570359073e-16, 6.22096057427174e-16, 0.9999999999999987],
-    0.9999999: [6.220960574271755e-16, 6.22096057427174e-16, 0.9999999999999992],
-}
+#: ``cdf-eval --family gaussian`` at ``(0, 0.5)``, ``(5e-324, 1)`` and
+#: ``(1, 1)``: on the square's edges every copula is ``min(u, v)``, at any
+#: ``rho``, and the clipped quantiles must not show there.
+GAUSSIAN_CDF_EVAL = {rho: [0.0, 5e-324, 1.0] for rho in (-0.9999999, 0.6, 0.9999999)}
 
 
 @pytest.mark.parametrize("rho", sorted(GAUSSIAN_CDF_EVAL))
@@ -212,4 +209,4 @@ def test_cdf_eval_gaussian_edges(rho):
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     values = [point["value"] for point in json.loads(proc.stdout)["points"]]
-    np.testing.assert_allclose(values, GAUSSIAN_CDF_EVAL[rho], rtol=0, atol=1e-15)
+    assert values == GAUSSIAN_CDF_EVAL[rho]

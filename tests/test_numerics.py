@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,18 @@ from hypothesis import strategies as st
 
 from mocorr.errors import EvaluationError, ValidationError
 from mocorr.families import FAMILY_TABLE
-from mocorr.mo import CopulaParams, copula_cdf, pair_sample, sample_copula
+from mocorr.extremes import GEVShape, gev_cdf
+from mocorr.mo import (
+    CopulaParams,
+    MOParams,
+    PairSample,
+    copula_cdf,
+    mo_cdf,
+    mo_marginal_survival,
+    mo_survival,
+    pair_sample,
+    sample_copula,
+)
 from mocorr.numerics import (
     BinnedOperator,
     QuadratureSpec,
@@ -244,3 +256,74 @@ def test_random_operators_stay_in_unit_interval(m, seed):
     joint /= joint.sum()
     value, _ = second_singular_value(BinnedOperator(joint))
     assert 0.0 <= value <= 1.0
+
+
+def _pairs_with(x):
+    return np.column_stack([np.full_like(x, 0.5), x])
+
+
+#: Every coordinate range check in the package, entered through its public
+#: call with ``x`` holding the coordinates under test: ``(call, low, high,
+#: non-finite message, out-of-range message, message for an empty x)``.
+#: A message of None means the call answers, for an empty x an empty array.
+RANGE_SITES = {
+    "PairSample": (lambda x: PairSample(_pairs_with(x), "copula"), 0.0, 1.0,
+                   "pair coordinates must be finite",
+                   "family 'copula' has coordinates outside [0, 1]",
+                   "sample must contain at least one pair"),
+    "mo_cdf": (lambda x: mo_cdf(MOParams(1.0, 2.0, 1.5), np.full_like(x, 0.5), x),
+               0.0, np.inf, "cdf coordinates must be finite",
+               "cdf coordinates must be nonnegative", None),
+    "mo_marginal_survival": (lambda x: mo_marginal_survival(MOParams(1.0, 2.0, 1.5), 2, x),
+                             0.0, np.inf, "coordinate must be nonnegative and finite",
+                             "coordinate must be nonnegative and finite", None),
+    "copula_cdf": (lambda x: copula_cdf(CopulaParams(0.3, 0.7), x, np.full_like(x, 0.5)),
+                   0.0, 1.0, "copula arguments must lie in the unit square [0, 1]^2",
+                   "copula arguments must lie in the unit square [0, 1]^2", None),
+    "bin_pairs": (lambda x: bin_pairs(_pairs_with(x), 8), 0.0, 1.0,
+                  "coordinates must lie in [0, 1] (copula scale)",
+                  "coordinates must lie in [0, 1] (copula scale)",
+                  "sample must contain at least one pair"),
+    "ecdf_ks": (lambda x: ecdf_ks(_pairs_with(x), lambda u, v: u * v), -np.inf, np.inf,
+                "sample coordinates must be finite", None,
+                "sample must contain at least one pair"),
+    "gev_cdf": (lambda x: gev_cdf(GEVShape(0.2), x), -np.inf, np.inf, "x must be finite",
+                None, None),
+}
+
+
+def _range_cases():
+    for site, (call, low, high, finite, outside, _) in RANGE_SITES.items():
+        for value in (np.nan, np.inf, -np.inf):
+            yield pytest.param(call, value, finite, id=f"{site}-{value}")
+        for bound, away in ((low, -np.inf), (high, np.inf)):
+            if np.isfinite(bound):
+                yield pytest.param(call, np.nextafter(bound, away), outside,
+                                   id=f"{site}-ulp-outside-{bound:g}")
+                yield pytest.param(call, bound, None, id=f"{site}-on-{bound:g}")
+
+
+@pytest.mark.parametrize("call,value,message", _range_cases())
+def test_each_range_check_keeps_its_message(call, value, message):
+    x = np.array([0.25, value, 0.5])
+    if message is None:
+        call(x)
+    else:
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            call(x)
+
+
+@pytest.mark.parametrize("site", sorted(RANGE_SITES))
+def test_each_range_check_on_an_empty_array(site):
+    call, *_, message = RANGE_SITES[site]
+    if message is None:
+        assert np.size(call(np.empty(0))) == 0
+    else:
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            call(np.empty(0))
+
+
+def test_a_non_finite_value_outranks_an_out_of_range_one():
+    # Across both arguments: the finiteness check runs first.
+    with pytest.raises(ValidationError, match="^survival coordinates must be finite$"):
+        mo_survival(MOParams(1.0, 2.0, 1.5), -1.0, np.nan)
