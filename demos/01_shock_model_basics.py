@@ -4,6 +4,7 @@ Run:  python3 demos/01_shock_model_basics.py
 """
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 
@@ -20,7 +21,7 @@ p = MOParams(2.0, 3.0, 5.0)
 rng = RngStream(20260801)
 n = 200_000
 
-print("shock rates:", p.as_dict())
+print("shock rates:", asdict(p))
 print(f"tie probability (diagonal atom):   {p.tie_probability:.6f}")
 
 s = sample_mo(p, n, rng)

@@ -16,13 +16,13 @@ from mocorr import Functional, GEVShape, RngStream, gev_quantile, sigma2_sb
 rng = RngStream(20260804)
 
 cases = [
-    ("identity, Gumbel shape", Functional.identity(), GEVShape(0.0)),
-    ("identity, bounded tail", Functional.identity(), GEVShape(-0.25)),
-    ("log transform, heavy tail", Functional.log_transform(), GEVShape(0.5)),
+    ("identity, Gumbel shape", Functional("identity"), GEVShape(0.0)),
+    ("identity, bounded tail", Functional("identity"), GEVShape(-0.25)),
+    ("log transform, heavy tail", Functional("log_transform"), GEVShape(0.5)),
 ]
 g = GEVShape(0.5)
 cases.append(("tail indicator (90th pct)",
-              Functional.indicator(gev_quantile(g, 0.9)), g))
+              Functional("indicator", threshold=gev_quantile(g, 0.9)), g))
 
 print(f"{'case':28} {'sigma2_db':>10} {'sigma2_sb':>10} {'ratio':>7}")
 for i, (label, h, shape) in enumerate(cases):
@@ -34,7 +34,7 @@ print("\nGumbel identity has sigma2_db = pi^2/6 =", f"{math.pi ** 2 / 6:.5f}")
 
 # The overlap covariance curve behind one of the integrals; the
 # correlation it implies is capped by 1 - zeta at every overlap.
-report = sigma2_sb(Functional.identity(), GEVShape(0.0),
+report = sigma2_sb(Functional("identity"), GEVShape(0.0),
                    n_mc=150_000, rng=rng.child(99))
 print("\noverlap curve (every 4th node):")
 print(f"{'zeta':>8} {'cov':>9} {'corr':>9} {'cap 1-zeta':>11}")

@@ -19,7 +19,7 @@ from mocorr import (
 )
 
 rng = RngStream(20260805)
-h = Functional.identity()
+h = Functional("identity")
 
 print("normalizing constants (gamma, a_r, b_r) at r = 100:")
 for dist, alpha in (("exp", None), ("uniform", None), ("pareto", 8.0),

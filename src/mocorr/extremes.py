@@ -60,23 +60,17 @@ _GAMMA_TINY = 2.2250738585072014e-308
 
 
 def gev_cdf(g: GEVShape, x):
-    """GEV cdf ``exp(-(1 + gamma*x)**(-1/gamma))`` (Gumbel at gamma=0).
+    """GEV cdf ``exp(-(1 + gamma*x)**(-1/gamma))`` (Gumbel at gamma=0), as ``exp(-exp(-l))``.
 
-    Outside the support the cdf continues with 0 below a lower endpoint
-    (gamma > 0) and 1 above an upper endpoint (gamma < 0).  A subnormal
-    ``gamma`` is the Gumbel case.
+    ``l`` is the Gumbel value :func:`_l_gamma` of ``x``, so outside the support
+    the cdf continues with 0 below a lower endpoint (gamma > 0) and 1 above an
+    upper endpoint (gamma < 0).  A subnormal ``gamma`` is the Gumbel case.
     """
     a = np.asarray(x, dtype=float)
     _check_range((a,), -np.inf, np.inf, "x must be finite")
-    if abs(g.gamma) < _GAMMA_TINY:
-        out = np.exp(-np.exp(-a))
-        return out if out.ndim else float(out)
-    w = g.gamma * a
-    # exp(-log1p(w)/gamma) instead of (1+w)**(-1/gamma): stable as gamma -> 0
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        core = np.exp(-np.exp(-np.log1p(np.maximum(w, -1.0)) / g.gamma))
-    fill = 0.0 if g.gamma > 0 else 1.0
-    out = np.where(w > -1.0, core, fill)
+    # exp(-l) past the float range is inf, and exp(-inf) = 0 is the value.
+    with np.errstate(over="ignore"):
+        out = np.exp(-np.exp(-_l_gamma(a, g.gamma)))
     return out if out.ndim else float(out)
 
 
@@ -101,12 +95,33 @@ def _q_gamma(s: np.ndarray, gamma: float) -> np.ndarray:
     ``s`` itself at gamma = 0 and at a subnormal gamma (see ``_GAMMA_TINY``).
     """
     if abs(gamma) >= _GAMMA_TINY:
-        s *= gamma
         # The expm1 form is stable as gamma -> 0; an overflow gives inf, the float limit.
         with np.errstate(over="ignore"):
+            s *= gamma
             np.expm1(s, out=s)
         s /= gamma
     return s
+
+
+def _l_gamma(x: np.ndarray, gamma: float, refuse: str | None = None) -> np.ndarray:
+    """Gumbel value ``log1p(gamma*x)/gamma`` of GEV values ``x``, undoing :func:`_q_gamma`.
+
+    ``x`` itself where ``_q_gamma`` is the identity; an overflow gives inf.  At
+    and below a lower support endpoint it is ``-inf``, at and above an upper
+    one ``+inf``, or, given ``refuse``, a ValidationError with that message.
+    """
+    if abs(gamma) < _GAMMA_TINY:
+        return x
+    # log1p keeps the digits of gamma*x that 1 + gamma*x would round away.
+    with np.errstate(over="ignore"):
+        w = np.multiply(x, gamma, out=np.empty_like(x))
+    if refuse is not None and np.any(w <= -1.0):
+        raise ValidationError(refuse)
+    with np.errstate(divide="ignore", over="ignore"):
+        np.maximum(w, -1.0, out=w)
+        np.log1p(w, out=w)
+        w /= gamma
+    return w
 
 
 def gev_quantile(g: GEVShape, p):
@@ -146,22 +161,13 @@ def sample_limit_pair(z: ZetaOverlap, g: GEVShape, n: int, rng: RngStream) -> Pa
 # Functionals and the moment guard
 
 
-def _log_transform(h, a, gamma):
-    if gamma == 0.0:
-        return a
-    # log1p keeps the digits of gamma*a that 1 + gamma*a would round away.
-    w = gamma * a
-    if np.any(w <= -1.0):
-        raise ValidationError(f"log_transform undefined outside the gamma={gamma} support")
-    return np.log1p(w) / gamma
-
-
 #: Each functional's tail order (``h(x)`` grows like ``x**order``; 0 for
 #: bounded or logarithmic growth) and its evaluator ``(h, x, gamma)``.
 _FUNCTIONALS = {
     "identity": (1, lambda h, a, gamma: a),
     "square": (2, lambda h, a, gamma: a * a),
-    "log_transform": (0, _log_transform),
+    "log_transform": (0, lambda h, a, gamma: _l_gamma(
+        a, gamma, f"log_transform undefined outside the gamma={gamma} support")),
     "indicator": (0, lambda h, a, gamma: (a > h.threshold).astype(float)),
     "const": (0, lambda h, a, gamma: np.ones_like(a)),
 }
@@ -174,8 +180,8 @@ class Functional:
     """A functional ``h`` applied to normalized block maxima.
 
     ``log_transform`` is ``x -> log(1 + gamma*x) / gamma`` (identity at
-    gamma = 0), the monotone map sending the gamma-shaped limit to the
-    Gumbel law; ``indicator`` needs a ``threshold``.
+    gamma = 0 and at a subnormal gamma), the monotone map sending the
+    gamma-shaped limit to the Gumbel law; ``indicator`` needs a ``threshold``.
     """
 
     name: str
@@ -189,26 +195,6 @@ class Functional:
                 raise ValidationError("indicator requires a finite threshold")
             object.__setattr__(self, "threshold", float(self.threshold))
 
-    @classmethod
-    def identity(cls):
-        return cls("identity")
-
-    @classmethod
-    def square(cls):
-        return cls("square")
-
-    @classmethod
-    def log_transform(cls):
-        return cls("log_transform")
-
-    @classmethod
-    def indicator(cls, threshold: float):
-        return cls("indicator", threshold=threshold)
-
-    @classmethod
-    def const(cls):
-        return cls("const")
-
     @property
     def tail_order(self) -> int:
         return _FUNCTIONALS[self.name][0]
@@ -217,9 +203,6 @@ class Functional:
         """Apply the functional; ``gamma`` matters only to log_transform."""
         out = _FUNCTIONALS[self.name][1](self, np.asarray(x, dtype=float), gamma)
         return out if np.ndim(out) else float(out)
-
-    def as_dict(self) -> dict:
-        return {"name": self.name, "threshold": self.threshold}
 
 
 def check_moments(h: Functional, g: GEVShape, values: np.ndarray | None = None) -> None:
@@ -269,7 +252,7 @@ class VarianceReport:
     ratio: float
     degenerate: bool
     per_zeta: list
-    h: dict
+    h: Functional
     gamma: float
     n: int
     seed: RngStream
@@ -414,7 +397,7 @@ def sigma2_sb(h: Functional, g: GEVShape, zeta_quad: QuadratureSpec = DEFAULT_ZE
         ratio=ratio,
         degenerate=degenerate,
         per_zeta=curve,
-        h=h.as_dict(),
+        h=h,
         gamma=g.gamma,
         n=int(n_mc),
         seed=rng,
@@ -597,7 +580,7 @@ class BlockSimResult:
     gamma: float
     a_r: float
     b_r: float
-    h: dict
+    h: Functional
     seed: RngStream
 
     def to_report(self) -> dict:
@@ -635,6 +618,7 @@ def block_maxima_simulate(dist: str, r: int, n_blocks: int, mode: str,
 
     sliding = mode == "sliding"
     maxima = sliding_max(x, r) if sliding else x.reshape(n_blocks, r).max(axis=1)
+    del x  # the draw is not read again; held, it would add a sequence to the peak below
     # Normalized in place: two fewer sequence-sized temporaries at the peak.
     maxima -= b_r
     maxima /= a_r
@@ -664,6 +648,6 @@ def block_maxima_simulate(dist: str, r: int, n_blocks: int, mode: str,
         gamma=gamma,
         a_r=a_r,
         b_r=b_r,
-        h=h.as_dict(),
+        h=h,
         seed=rng,
     )

@@ -12,7 +12,7 @@ up on the module at call time, so a function rebound there (as
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -66,7 +66,7 @@ FAMILY_TABLE = {
         (("lam1", "first individual shock rate", "l1"),
          ("lam2", "second individual shock rate", "l2"),
          ("lam12", "common shock rate", "l12")),
-        mo.MOParams, lambda p: p.as_dict(),
+        mo.MOParams, asdict,
         lambda p, g, size: mo._mo_chunk(p, g, size),
         lambda p, x, y: mo.mo_cdf(p, x, y),
         lambda p: maxcorr.max_corr_from_rates(p), lambda d: (0.0, math.inf),
@@ -76,12 +76,12 @@ FAMILY_TABLE = {
         ])),
     "copula": Family(
         (("phi", "first copula exponent"), ("psi", "second copula exponent")),
-        mo.CopulaParams, lambda c: c.as_dict(),
+        mo.CopulaParams, asdict,
         lambda c, g, size: mo._copula_chunk(c, g, size),
         lambda c, u, v: mo.copula_cdf(c, u, v),
         lambda c: maxcorr.max_corr_closed(c), _unit),
     "d_xi": Family(
-        (("xi", "section family parameter"),), mo.DXiParam, lambda d: d.as_dict(),
+        (("xi", "section family parameter"),), mo.DXiParam, asdict,
         lambda d, g, size: mo._d_xi_chunk(d, g, size),
         lambda d, u, v: mo.copula_cdf(d.copula, u, v),
         lambda d: maxcorr.max_corr_closed(d.copula), _unit),

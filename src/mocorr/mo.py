@@ -17,11 +17,11 @@ component and is handy as a calibration family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError, _check_floats
+from .errors import EvaluationError, ValidationError, _check_floats
 from .numerics import _check_range, _pairs
 from .rng import RngStream, draw_iid, iter_chunks
 from .serialize import canonical_json, write_csv
@@ -44,9 +44,6 @@ class MOParams:
         total = self.lambda1 + self.lambda2 + self.lambda12
         return self.lambda12 / total
 
-    def as_dict(self) -> dict:
-        return {"lambda1": self.lambda1, "lambda2": self.lambda2, "lambda12": self.lambda12}
-
 
 @dataclass(frozen=True)
 class CopulaParams:
@@ -57,9 +54,6 @@ class CopulaParams:
 
     def __post_init__(self):
         _check_floats(self, ("phi", "psi"), lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")
-
-    def as_dict(self) -> dict:
-        return {"phi": self.phi, "psi": self.psi}
 
 
 @dataclass(frozen=True)
@@ -75,9 +69,6 @@ class DXiParam:
     def copula(self) -> CopulaParams:
         """The same law as a survival copula: ``D_xi = C_{xi,1}``."""
         return CopulaParams(self.xi, 1.0)
-
-    def as_dict(self) -> dict:
-        return {"xi": self.xi}
 
 
 @dataclass(eq=False)
@@ -270,10 +261,14 @@ def _check_n(value: int, name: str = "n") -> int:
 def _mo_chunk(p: MOParams, gen: np.random.Generator, size: int) -> np.ndarray:
     """One chunk of :func:`sample_mo`: ``(size, 2)`` pairs from the three shocks."""
     shocks = gen.standard_exponential((size, 3))
-    z1 = shocks[:, 0] / p.lambda1
-    z2 = shocks[:, 1] / p.lambda2
-    z12 = shocks[:, 2] / p.lambda12
-    return np.column_stack([np.minimum(z1, z12), np.minimum(z2, z12)])
+    with np.errstate(over="ignore"):  # a shock time past the float range is inf
+        z1 = shocks[:, 0] / p.lambda1
+        z2 = shocks[:, 1] / p.lambda2
+        z12 = shocks[:, 2] / p.lambda12
+    pairs = np.column_stack([np.minimum(z1, z12), np.minimum(z2, z12)])
+    if pairs.max() == np.inf:  # both shocks of a component overflowed; none is NaN
+        raise EvaluationError(f"a shock time overflows a float at {p}")
+    return pairs
 
 
 def sample_mo(p: MOParams, n: int, rng: RngStream) -> PairSample:
@@ -368,7 +363,7 @@ def write_sample_csv(sample: PairSample, path) -> None:
         "family": sample.family,
         "params": sample.params,
         "n": sample.n,
-        "seed": sample.seed.state_dict() if sample.seed is not None else None,
+        "seed": asdict(sample.seed) if sample.seed is not None else None,
     }
     sidecar = path.with_name(path.stem + ".meta.json")
     sidecar.write_text(canonical_json(meta) + "\n", encoding="ascii", newline="\n")

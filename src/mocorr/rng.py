@@ -76,10 +76,6 @@ class RngStream:
         mixed = _splitmix64(_splitmix64(self.stream_id ^ 0xD1B54A32D192ED03) + int(index) + 1)
         return RngStream(self.seed, mixed)
 
-    def state_dict(self) -> dict:
-        """Key as a plain dict, for report metadata."""
-        return {"seed": self.seed, "stream_id": self.stream_id}
-
 
 def chunk_sizes(n: int) -> list[int]:
     """Deterministic split of ``n`` draws into at most ``MC_CHUNKS`` pieces."""

@@ -171,7 +171,7 @@ def check_sampler_ks(sizes: BatterySizes, rng: RngStream) -> CheckResult:
                 d = ecdf_ks(family.to_copula(p, sample.pairs),
                             lambda u, v: mo.copula_cdf(c, u, v))
                 if d > worst:
-                    worst, worst_name = d, f"mo->copula{p.as_dict()}"
+                    worst, worst_name = d, f"mo->copula{asdict(p)}"
     return CheckResult("sampler-ks", worst < threshold,
                        f"worst KS {worst:.4f} ({worst_name}) vs threshold {threshold:.4f}")
 
@@ -254,10 +254,10 @@ def check_variance_inequality(sizes: BatterySizes, rng: RngStream) -> CheckResul
     """sigma2_sb <= sigma2_db within MC noise for two functionals."""
     quad = QuadratureSpec(sizes.zeta_nodes, 1)
     worst = -np.inf
+    heavy = extremes.GEVShape(0.5)
     cases = [
-        (extremes.Functional.identity(), extremes.GEVShape(0.0)),
-        (extremes.Functional.indicator(extremes.gev_quantile(extremes.GEVShape(0.5), 0.9)),
-         extremes.GEVShape(0.5)),
+        (extremes.Functional("identity"), extremes.GEVShape(0.0)),
+        (extremes.Functional("indicator", threshold=extremes.gev_quantile(heavy, 0.9)), heavy),
     ]
     for i, (h, g) in enumerate(cases):
         report = extremes.sigma2_sb(h, g, quad, sizes.var_n_mc, rng.child(i))
@@ -268,7 +268,7 @@ def check_variance_inequality(sizes: BatterySizes, rng: RngStream) -> CheckResul
 
 def check_zeta_factorization(sizes: BatterySizes, rng: RngStream) -> CheckResult:
     """Per-overlap correlation never exceeds the maximal correlation 1 - zeta."""
-    h = extremes.Functional.identity()
+    h = extremes.Functional("identity")
     g = extremes.GEVShape(0.0)
     worst = -np.inf
     for i, zeta in enumerate((0.2, 0.5, 0.8)):

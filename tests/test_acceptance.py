@@ -7,6 +7,7 @@ reports, so the whole battery doubles as a determinism check.
 """
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -265,16 +266,16 @@ def criterion_9() -> dict:
         rates = gen.uniform(0.1, 5.0, 3)
         p = MOParams(*map(float, rates))
         s = sample_mo(p, n, root.child(10 + i))
-        record("mo", p.as_dict(), ecdf_ks(s, lambda x, y: mo_cdf(p, x, y)))
+        record("mo", asdict(p), ecdf_ks(s, lambda x, y: mo_cdf(p, x, y)))
 
         phi, psi = gen.uniform(0.05, 0.95, 2)
         c = CopulaParams(float(phi), float(psi))
         s = sample_copula(c, n, root.child(20 + i))
-        record("copula", c.as_dict(), ecdf_ks(s, lambda u, v: copula_cdf(c, u, v)))
+        record("copula", asdict(c), ecdf_ks(s, lambda u, v: copula_cdf(c, u, v)))
 
         d = DXiParam(float(gen.uniform(0.05, 0.95)))
         s = sample_d_xi(d, n, root.child(30 + i))
-        record("d_xi", d.as_dict(), ecdf_ks(s, lambda u, v: copula_cdf(d.copula, u, v)))
+        record("d_xi", asdict(d), ecdf_ks(s, lambda u, v: copula_cdf(d.copula, u, v)))
 
         z = ZetaOverlap(float(gen.uniform(0.0, 1.0)))
         g = GEVShape(float(gen.uniform(-0.5, 1.0)))
@@ -298,8 +299,8 @@ def criterion_10() -> dict:
     combos = []
     for gamma in (-0.25, 0.0, 0.5):
         g = GEVShape(gamma)
-        hs = [Functional.identity(), Functional.indicator(gev_quantile(g, 0.9)),
-              Functional.log_transform()]
+        hs = [Functional("identity"), Functional("indicator", threshold=gev_quantile(g, 0.9)),
+              Functional("log_transform")]
         for h in hs:
             if gamma > 0 and h.tail_order > 0 and 4 * h.tail_order * gamma >= 1.0:
                 continue
@@ -328,7 +329,7 @@ def criterion_10() -> dict:
 
         ok = ratio_ok and curve_ok
         all_pass = all_pass and ok
-        cases.append({"h": h.as_dict(), "gamma": g.gamma, "ratio": ratio,
+        cases.append({"h": asdict(h), "gamma": g.gamma, "ratio": ratio,
                       "ratio_se": se_ratio, "sigma2_db": report.sigma2_db,
                       "sigma2_sb": report.sigma2_sb,
                       "worst_node_excess": worst_node, "passed": bool(ok)})
@@ -339,7 +340,7 @@ def criterion_10() -> dict:
 def criterion_11() -> dict:
     """Block simulation reproduces both asymptotic variances within 10%."""
     root = RngStream(20260829)
-    h = Functional.identity()
+    h = Functional("identity")
     g = GEVShape(0.0)
     db_target = math.pi ** 2 / 6.0
     sb_target = sigma2_sb(h, g, n_mc=200_000, rng=root.child(0)).sigma2_sb

@@ -99,6 +99,18 @@ class TestSample:
         assert err.startswith("numerical failure: ") and "gamma=60" in err
         assert not path.exists()
 
+    def test_mo_overflow_is_a_numerical_failure(self, tmp_path, capsys):
+        # Both shocks of the first component overflow: the input is valid, the
+        # float range is not enough; it used to end in "pair coordinates must be finite".
+        path = tmp_path / "x.csv"
+        code, out, err = run_cli(
+            capsys, "sample", "--family", "mo", "--l1", "5e-324", "--l2", "1",
+            "--l12", "5e-324", "-n", "1000", "--out", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("numerical failure: ") and "overflows" in err
+        assert not path.exists()
+
     def test_unwritable_out_path(self, tmp_path, capsys):
         code, _, err = run_cli(
             capsys, "sample", "--family", "copula", "--phi", "0.5", "--psi",

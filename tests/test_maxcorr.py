@@ -337,27 +337,53 @@ class TestGaussian:
 
     @staticmethod
     def full_width_cdf(rho, u, v):
-        """The cdf with all 64 nodes on every point in one ``(..., 64)`` pass.
+        """Genz's algorithm on every point in one ``(..., nodes)`` pass.
 
         On the square's edges it is ``min(u, v)``, as every copula is.
         """
         a, b = np.broadcast_arrays(np.atleast_1d(u), np.atleast_1d(v))
-        x = np.clip(ndtri(np.clip(a, 1e-300, 1.0)), -8.0, 8.0)
-        y = np.clip(ndtri(np.clip(b, 1e-300, 1.0)), -8.0, 8.0)
-        base = ndtr(x) * ndtr(y)
-        nodes, weights = np.polynomial.legendre.leggauss(64)
-        t = (nodes + 1.0) * (rho / 2.0)
-        w = weights * (rho / 2.0)
-        one_minus = 1.0 - t * t
-        e = np.exp(-(x[..., None] ** 2 - 2.0 * t * x[..., None] * y[..., None]
-                     + y[..., None] ** 2) / (2.0 * one_minus))
-        e /= np.sqrt(one_minus)
-        e *= w
-        out = np.clip(base + e.sum(axis=-1) / (2.0 * math.pi), 0.0, 1.0)
+        h = -np.clip(ndtri(np.clip(a, 1e-300, 1.0)), -8.0, 8.0)
+        k = -np.clip(ndtri(np.clip(b, 1e-300, 1.0)), -8.0, 8.0)
+        n = 6 if abs(rho) < 0.3 else 12 if abs(rho) < 0.75 else 20
+        t, w = (q[n // 2:] for q in np.polynomial.legendre.leggauss(n))
+        t, w = np.concatenate([1.0 - t, 1.0 + t]), np.concatenate([w, w])
+        hk = h * k
+        if abs(rho) < 0.925:
+            asr = math.asin(rho) / 2.0
+            s = np.sin(asr * t)
+            e = np.exp((s * hk[..., None] - ((h * h + k * k) / 2.0)[..., None]) / (1.0 - s * s))
+            out = ndtr(-h) * ndtr(-k) + (e * w).sum(axis=-1) * (asr / (2.0 * math.pi))
+        else:
+            if rho < 0.0:
+                k, hk = -k, -hk
+            a_s = (1.0 - rho) * (1.0 + rho)
+            r = math.sqrt(a_s)
+            bs = (h - k) ** 2
+            c = (4.0 - hk) / 8.0
+            d = (12.0 - hk) / 80.0
+            asr = -(bs / a_s + hk) / 2.0
+            bvn = np.where(asr > -100.0, r * np.exp(asr) * (
+                1.0 - c * (bs - a_s) * (1.0 - d * bs) / 3.0 + c * d * a_s * a_s), 0.0)
+            bvn -= (np.exp(-hk / 2.0) * math.sqrt(2.0 * math.pi) * ndtr(-np.sqrt(bs) / r)
+                    * np.sqrt(bs) * (1.0 - c * bs * (1.0 - d * bs) / 3.0))
+            r /= 2.0
+            xs = (r * t) ** 2
+            rs = np.sqrt(1.0 - xs)
+            asr = -(bs[..., None] / xs + hk[..., None]) / 2.0
+            sp = 1.0 + c[..., None] * xs * (1.0 + 5.0 * d[..., None] * xs)
+            ep = np.exp(-(hk / 2.0)[..., None] * xs / (1.0 + rs) ** 2) / rs
+            e = np.where(asr > -100.0, np.exp(asr) * (sp - ep), 0.0)
+            bvn = (r * (e * w).sum(axis=-1) - bvn) / (2.0 * math.pi)
+            if rho > 0.0:
+                out = bvn + ndtr(-np.maximum(h, k))
+            else:
+                out = np.where(h >= k, -bvn,
+                               np.where(h < 0.0, ndtr(k) - ndtr(h), ndtr(-h) - ndtr(-k)) - bvn)
+        out = np.clip(out, np.maximum(a + b - 1.0, 0.0), np.minimum(a, b))
         edge = (a == 0.0) | (a == 1.0) | (b == 0.0) | (b == 1.0)
         return np.where(edge, np.minimum(a, b), out)
 
-    @pytest.mark.parametrize("rho", [0.6, -0.85, 0.3])
+    @pytest.mark.parametrize("rho", [0.6, -0.85, 0.3, -0.2, 0.95, -0.9999999])
     def test_cdf_row_blocks_match_full_width(self, rho):
         R = maxcorr._GAUSS_CDF_ROWS
         gen = RngStream(80).generator()
@@ -368,7 +394,68 @@ class TestGaussian:
             assert np.array_equal(gaussian_copula_cdf(rho, u, v),
                                   self.full_width_cdf(rho, u, v))
 
-    @pytest.mark.parametrize("rho", [0.6, -0.85, 0.9999999])
+    #: Points of the references below; near |rho| = 1 the mass gathers on
+    #: the diagonal (rho > 0) or the antidiagonal (rho < 0), and points
+    #: just off them are where a fixed rule over rho fails.
+    NEAR_ONE_POINTS = (
+        (0.3, 0.31), (0.5, 0.5), (0.2, 0.2000001), (0.7, 0.6999999), (0.01, 0.02),
+        (0.999, 0.998), (0.2, 0.8000001), (0.4, 0.6), (0.05, 0.95), (0.9, 0.3),
+        (1e-06, 0.5), (0.6, 0.9999),
+    )
+
+    #: The copula at NEAR_ONE_POINTS, frozen from 40-digit mpmath integrals
+    #: ``int_{-inf}^{x} phi(t) Phi((y - rho t)/sqrt(1 - rho^2)) dt`` with
+    #: ``x, y`` the exact normal quantiles, split around ``t = y/rho``; the
+    #: form ``Phi(x)Phi(y) + int_0^rho phi_2(x, y; t) dt`` agreed to 1e-40.
+    NEAR_ONE_REFS = {
+        0.925: (0.25048192119417945, 0.4379676527521625, 0.15666556718161279,
+            0.6460319181948087, 0.008087310479335716, 0.9976948093850784, 0.19999977070390407,
+            0.39299668664633136, 0.05, 0.2999999548998239, 1e-06, 0.6),
+        -0.925: (0.00020595304149858968, 0.06203234724783751, 2.292981053193972e-07,
+            0.40016206476040206, 8.008714479920121e-32, 0.997, 0.043334519624336924,
+            0.06004841360859311, 0.01576223391793946, 0.2009863037297633,
+            4.2484667350275387e-38, 0.5999),
+        0.95: (0.2604956337227237, 0.44945868794787003, 0.16463849908422432,
+            0.6560027290217605, 0.008801634325546167, 0.9977913843515972, 0.19999999884934672,
+            0.39705649265552445, 0.05, 0.2999999998895352, 1e-06, 0.6),
+        -0.95: (2.142436061716281e-05, 0.05054131205212996, 1.1506680131448813e-09,
+            0.4000151420208937, 5.667118444778592e-46, 0.997, 0.03536159019536536,
+            0.04893174030051263, 0.012917568604902339, 0.2002326563469492,
+            1.0603226124096593e-54, 0.5999),
+        0.999: (0.2975187235867382, 0.49288178129688015, 0.19500505972828294,
+            0.6937963069137782, 0.009999999999861944, 0.997999999957145, 0.2, 0.4, 0.05, 0.3,
+            1e-06, 0.6),
+        -0.999: (1.3258405999143457e-118, 0.0071182187031198305, 1.20879275157e-313,
+            0.39999989999999996, 0.0, 0.997, 0.004995038769873476, 0.006893367958572527,
+            0.0018398062379648315, 0.2, 0.0, 0.5999),
+        0.9999999: (0.3, 0.4999288237450839, 0.1999501012950717, 0.699937917304335, 0.01,
+            0.998, 0.2, 0.4, 0.05, 0.3, 1e-06, 0.6),
+        -0.9999999: (0.0, 7.117625491612115e-05, 0.0, 0.39999989999999996, 0.0, 0.997,
+            4.999868991272592e-05, 6.89283036301251e-05, 1.8400678056466165e-05, 0.2, 0.0,
+            0.5999),
+    }
+
+    @pytest.mark.parametrize("rho", sorted(NEAR_ONE_REFS))
+    def test_cdf_near_unit_correlation(self, rho):
+        u, v = np.array(self.NEAR_ONE_POINTS).T
+        got = gaussian_copula_cdf(rho, u, v)
+        np.testing.assert_allclose(got, self.NEAR_ONE_REFS[rho], rtol=0.0, atol=1e-14)
+        assert np.all(np.maximum(u + v - 1.0, 0.0) <= got)
+        assert np.all(got <= np.minimum(u, v))
+
+    @pytest.mark.parametrize("rho", [0.9999999, -0.9999999, 0.999, -0.95, 0.6, -0.1])
+    def test_cdf_within_frechet_bounds(self, rho):
+        gen = RngStream(84).generator()
+        u = gen.random(20_000)
+        # Half the points sit just off the diagonal or the antidiagonal.
+        v = np.concatenate([u[:10_000] + 1e-7, gen.random(10_000)])
+        v[:5_000] = 1.0 - v[:5_000]
+        v = np.clip(v, 0.0, 1.0)
+        got = gaussian_copula_cdf(rho, u, v)
+        assert np.all(np.maximum(u + v - 1.0, 0.0) <= got)
+        assert np.all(got <= np.minimum(u, v))
+
+    @pytest.mark.parametrize("rho", [0.6, -0.85, 0.9999999, 0.2])
     def test_cdf_value_independent_of_batch(self, rho):
         # A point's value is the same alone, at any place in any batch, and
         # in a broadcast grid. Reversing a batch moves every point to

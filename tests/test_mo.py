@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mocorr.errors import ValidationError
+from mocorr.errors import EvaluationError, ValidationError
 from mocorr.extremes import GEVShape, ZetaOverlap
 from mocorr.maxcorr import PowerIndex
 from mocorr.mo import (
@@ -275,6 +275,14 @@ class TestSamplers:
             mo_marginal_survival(p, 2, s.pairs[:, 1]),
         ])
         assert ecdf_ks(transformed, lambda u, v: copula_cdf(c, u, v)) < 0.01
+
+    def test_mo_shock_overflow(self):
+        # A shock time past the float range is inf; the minimum with the other
+        # shock hides it, and a coordinate that stays inf is a numerical failure.
+        s = sample_mo(MOParams(1e-300, 1.0, 5e-324), 1000, RngStream(1))
+        assert np.all(np.isfinite(s.pairs))
+        with pytest.raises(EvaluationError, match="overflows"):
+            sample_mo(MOParams(5e-324, 1.0, 5e-324), 1000, RngStream(1))
 
     def test_zero_draws_rejected(self):
         with pytest.raises(ValidationError):

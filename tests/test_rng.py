@@ -93,9 +93,3 @@ def test_invalid_seed_rejected():
         RngStream(-1)
     with pytest.raises(ValidationError):
         RngStream(2 ** 64)
-
-
-def test_state_dict_round_trip():
-    s = RngStream(42, stream_id=5)
-    d = s.state_dict()
-    assert d == {"seed": 42, "stream_id": 5}
