@@ -68,7 +68,6 @@ from .numerics import (
     BinnedOperator,
     QuadratureSpec,
     bin_pairs,
-    ecdf_ks,
     quad_2d,
     second_singular_value,
 )

@@ -92,23 +92,27 @@ def _to_gumbel(w: np.ndarray) -> np.ndarray:
 def _q_gamma(s: np.ndarray, gamma: float) -> np.ndarray:
     """GEV quantile ``expm1(gamma*s)/gamma`` of Gumbel values ``s`` in place.
 
-    ``s`` itself at gamma = 0 and at a subnormal gamma (see ``_GAMMA_TINY``).
+    ``s`` itself at gamma = 0 and at a subnormal gamma (see ``_GAMMA_TINY``);
+    ``+-exp(gamma*s - log|gamma|)`` where ``expm1`` would overflow.
     """
     if abs(gamma) >= _GAMMA_TINY:
-        # The expm1 form is stable as gamma -> 0; an overflow gives inf, the float limit.
         with np.errstate(over="ignore"):
             s *= gamma
-            np.expm1(s, out=s)
+            big = np.flatnonzero(s >= math.log(np.finfo(float).max))
+            far = np.copysign(np.exp(s.flat[big] - math.log(abs(gamma))), gamma)
+            np.expm1(s, out=s)  # stable as gamma -> 0
         s /= gamma
+        s.flat[big] = far
     return s
 
 
 def _l_gamma(x: np.ndarray, gamma: float, refuse: str | None = None) -> np.ndarray:
     """Gumbel value ``log1p(gamma*x)/gamma`` of GEV values ``x``, undoing :func:`_q_gamma`.
 
-    ``x`` itself where ``_q_gamma`` is the identity; an overflow gives inf.  At
-    and below a lower support endpoint it is ``-inf``, at and above an upper
-    one ``+inf``, or, given ``refuse``, a ValidationError with that message.
+    ``x`` itself where ``_q_gamma`` is the identity; ``log|gamma| + log|x|``
+    stands for ``log1p`` where ``gamma*x`` overflows.  At and below a lower
+    support endpoint it is ``-inf``, at and above an upper one ``+inf``, or,
+    given ``refuse``, a ValidationError with that message.
     """
     if abs(gamma) < _GAMMA_TINY:
         return x
@@ -117,9 +121,11 @@ def _l_gamma(x: np.ndarray, gamma: float, refuse: str | None = None) -> np.ndarr
         w = np.multiply(x, gamma, out=np.empty_like(x))
     if refuse is not None and np.any(w <= -1.0):
         raise ValidationError(refuse)
+    big = np.flatnonzero(w == np.inf)
     with np.errstate(divide="ignore", over="ignore"):
         np.maximum(w, -1.0, out=w)
         np.log1p(w, out=w)
+        w.flat[big] = math.log(abs(gamma)) + np.log(np.abs(x.flat[big]))
         w /= gamma
     return w
 

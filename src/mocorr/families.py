@@ -4,7 +4,7 @@ Each :class:`Family` names the CLI arguments that carry its parameters
 and says how to build the parameters, draw one RNG chunk of pairs,
 evaluate the joint cdf, give the closed-form maximal correlation and
 bound the drawn coordinates; families off the copula scale also say how
-to map their pairs onto it.  The entries look their library functions
+to map their pairs onto it and back.  The entries look their library functions
 up on the module at call time, so a function rebound there (as
 ``perfbench/spans.py`` does to trace it) is the one the table calls.
 """
@@ -19,6 +19,7 @@ import numpy as np
 
 from . import extremes, maxcorr, mo
 from .errors import ValidationError
+from .numerics import cell_masses
 
 
 @dataclass(frozen=True)
@@ -35,7 +36,9 @@ class Family:
     the ``as_dict`` form and returns the closed interval ``(low, high)``
     holding every drawn coordinate.
     ``to_copula(p, pairs)`` maps an ``(n, 2)`` draw onto [0, 1]^2
-    through the margins, and is ``None`` for families already there.
+    through the margins, and is ``None`` for families already there;
+    ``from_copula(p, t)`` maps grid edges ``t`` back to native
+    ``(x_edges, y_edges)``, an infinite one at +-DBL_MAX.
     """
 
     args: tuple[tuple[str, ...], ...]
@@ -46,10 +49,29 @@ class Family:
     max_corr: Callable
     support: Callable
     to_copula: Callable | None = None
+    from_copula: Callable | None = None
+
+    def masses(self, p, m: int) -> np.ndarray:
+        """Exact masses of the law at ``p`` on the m x m copula-scale grid, by its own cdf."""
+        t = np.linspace(0.0, 1.0, m + 1)
+        edges = (t, t) if self.from_copula is None else self.from_copula(p, t)
+        return cell_masses(lambda x, y: self.cdf(p, x, y), *edges)
 
 
 def _unit(d: dict) -> tuple[float, float]:
     return 0.0, 1.0
+
+
+def _mo_edges(p, t):
+    # -log(t)/(lambda_j + lambda12) undoes mo_marginal_survival; inf becomes DBL_MAX.
+    with np.errstate(divide="ignore", over="ignore"):
+        return tuple(np.nan_to_num(-np.log(t) / (lam + p.lambda12))
+                     for lam in (p.lambda1, p.lambda2))
+
+
+def _gev_edges(p, t):
+    x = np.concatenate([[-np.inf], extremes.gev_quantile(p[1], t[1:-1]), [np.inf]])
+    return (np.nan_to_num(x),) * 2
 
 
 def _gev_support(d: dict) -> tuple[float, float]:
@@ -73,7 +95,7 @@ FAMILY_TABLE = {
         lambda p, pairs: np.column_stack([
             mo.mo_marginal_survival(p, 1, pairs[:, 0]),
             mo.mo_marginal_survival(p, 2, pairs[:, 1]),
-        ])),
+        ]), _mo_edges),
     "copula": Family(
         (("phi", "first copula exponent"), ("psi", "second copula exponent")),
         mo.CopulaParams, asdict,
@@ -92,7 +114,7 @@ FAMILY_TABLE = {
         lambda p, g, size: extremes._limit_pair_chunk(*p, g, size),
         lambda p, x, y: extremes.limit_copula_cdf(*p, x, y),
         lambda p: 1.0 - p[0].zeta, _gev_support,
-        lambda p, pairs: extremes.gev_cdf(p[1], pairs)),
+        lambda p, pairs: extremes.gev_cdf(p[1], pairs), _gev_edges),
     "gaussian": Family(
         (("rho", "correlation"),), lambda rho: maxcorr._check_rho(rho),
         lambda rho: {"rho": rho},

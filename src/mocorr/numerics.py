@@ -1,12 +1,10 @@
 """Deterministic numerical kernels.
 
 Composite Gauss-Legendre nodes on the unit interval and quadrature on
-the unit square, a two-sided bivariate ECDF distance, histogram binning
-of pair samples, and the second singular value of the normalized binned
-operator from a dense SVD.
-
-The ECDF distance sorts the sample once, by x then y, and takes both
-sides of every jump from one merge-counting pass over y in that order.
+the unit square, histogram binning of pair samples, the second singular
+value of the normalized binned operator from a dense SVD, and a binned
+goodness of fit: exact cell masses of a cdf by inclusion-exclusion and
+Pearson's chi-square of bin counts against them, as a z score.
 
 The standard normal cdf and quantile (``ndtr``, ``ndtri``) are numpy
 rational approximations: Cody's ``erfc`` and Wichura's AS241.
@@ -14,6 +12,7 @@ rational approximations: Cody's ``erfc`` and Wichura's AS241.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -280,116 +279,6 @@ def _check_range(arrays, low, high, message: str, finite_message: str | None = N
 
 
 # ---------------------------------------------------------------------------
-# Bivariate ECDF distance
-
-
-def _dense_codes(a: np.ndarray) -> np.ndarray:
-    # Integer codes preserving order and ties.
-    _, codes = np.unique(a, return_inverse=True)
-    return codes.astype(np.int64)
-
-
-def _count_prev(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each position i, count earlier positions j with
-    codes[j] < codes[i] and with codes[j] <= codes[i].
-
-    Bottom-up merge counting of the inclusive side; O(n log^2 n) with
-    vectorized levels.  The last level leaves the codes in stable sorted
-    order, where the earlier equal codes of each position are its offset
-    in its run, so the strict side needs no search of its own.
-    """
-    n = codes.shape[0]
-    size = 1 << int(np.ceil(np.log2(n))) if n > 1 else 1
-    pad_code = codes.max(initial=0) + 1
-    ys = np.full(size, pad_code, dtype=np.int64)
-    ys[:n] = codes
-    pos = np.arange(size)
-    le = np.zeros(size, dtype=np.int64)
-    offset = pad_code + 1
-    width = 1
-    while width < size:
-        pairs = size // (2 * width)
-        block = ys.reshape(pairs, 2 * width)
-        pos_block = pos.reshape(pairs, 2 * width)
-        # Rows are value-disjoint after offsetting, so one flat search works.
-        # Its temporaries die with the statement, before the sort.
-        row_off = (np.arange(pairs, dtype=np.int64) * offset)[:, None]
-        le[pos_block[:, width:].ravel()] += np.searchsorted(
-            (block[:, :width] + row_off).ravel(), (block[:, width:] + row_off).ravel(),
-            side="right") - np.repeat(np.arange(pairs, dtype=np.int64) * width, width)
-        order = np.argsort(block, axis=1, kind="stable")
-        # Each old array goes as soon as its sorted copy exists: this sets
-        # the peak memory of `mocorr verify`.
-        del block, pos_block
-        ys = np.take_along_axis(ys.reshape(pairs, 2 * width), order, axis=1).ravel()
-        pos = np.take_along_axis(pos.reshape(pairs, 2 * width), order, axis=1).ravel()
-        del order
-        width *= 2
-    equal_before = np.empty(size, dtype=np.int64)
-    equal_before[pos] = np.arange(size) - _run_starts(ys)
-    return le[:n] - equal_before[:n], le[:n]
-
-
-def _run_starts(*keys: np.ndarray) -> np.ndarray:
-    """Index of the first row of each row's run of identical ``keys``."""
-    new_run = np.zeros(keys[0].shape[0], dtype=bool)
-    new_run[0] = True
-    for key in keys:
-        new_run[1:] |= key[1:] != key[:-1]
-    return np.maximum.accumulate(np.where(new_run, np.arange(new_run.shape[0]), 0))
-
-
-def ecdf_ks(sample, cdf) -> float:
-    """Kolmogorov-Smirnov style distance between a pair sample and a cdf.
-
-    The empirical joint cdf is compared with ``cdf`` at every sample
-    point from both sides of the jump: with inclusive counts
-    ``#{x_j <= x_i, y_j <= y_i}/n`` and with strict counts (the
-    lower-left corner of the jump cell).  ``cdf`` must broadcast over
-    coordinate arrays.
-
-    Parameters
-    ----------
-    sample : PairSample or (n, 2) array
-    cdf : callable
-        ``cdf(x, y) -> array`` of joint cdf values.
-
-    Returns
-    -------
-    float
-        ``max_i max(|F_n(x_i, y_i) - C(x_i, y_i)|, |F_n(x_i-, y_i-) - C(x_i, y_i)|)``.
-    """
-    pairs = _pairs(sample)
-    n = pairs.shape[0]
-    _check_range((pairs,), -np.inf, np.inf, "sample coordinates must be finite")
-    x, y = pairs[:, 0], pairs[:, 1]
-    target = np.asarray(cdf(x, y), dtype=float)
-    if target.shape != x.shape:
-        raise ValidationError("cdf must return one value per sample point")
-    if not np.all(np.isfinite(target)):
-        raise ValidationError("cdf returned non-finite values on the sample")
-
-    # In (x asc, y asc) order every row before i has x_j <= x_i.  Of the
-    # earlier rows with y_j < y_i, those in i's x-run do not have x_j < x_i,
-    # and they are the rows from the x-run's start to the (x, y)-run's.
-    # The later rows that count inclusively are the rest of i's (x, y) run,
-    # so le + 1 is the inclusive count at the run's last row; at its other
-    # rows it lies between the strict and inclusive counts of the same
-    # point, where the cdf takes the same value, so it never raises the
-    # maximum.
-    cy = _dense_codes(y)
-    order = np.lexsort((cy, x))
-    xs, ys = x[order], cy[order]
-    lt, le = _count_prev(ys)
-    strict = lt - (_run_starts(xs, ys) - _run_starts(xs))
-    inclusive = le + 1
-    target = target[order]
-    upper = np.abs(inclusive / n - target)
-    lower = np.abs(strict / n - target)
-    return float(max(upper.max(), lower.max()))
-
-
-# ---------------------------------------------------------------------------
 # Binned operator and its second singular value
 
 
@@ -450,6 +339,12 @@ def bin_pairs(sample, m: int) -> BinnedOperator:
     can change after it was built), and all go through one block kernel,
     which gives the same integer counts for the same pairs.
     """
+    counts = _bin_counts(sample, m)
+    return BinnedOperator(counts / counts.sum())
+
+
+def _bin_counts(sample, m) -> np.ndarray:
+    """The ``(m, m)`` integer counts of :func:`bin_pairs`."""
     m = _check_bins(m)
     chunks = getattr(sample, "chunks", None)
     if chunks is None:
@@ -459,7 +354,6 @@ def bin_pairs(sample, m: int) -> BinnedOperator:
     # edges themselves; the infinite ends send x = 1 to the last bin.
     lower, upper = np.append(edges[:m], np.inf), np.append(edges[1:m], np.inf)
     counts = np.zeros(m * m, dtype=np.intp)
-    n = 0
     for pairs in chunks:
         for start in range(0, pairs.shape[0], _BIN_ROWS):
             x = pairs[start:start + _BIN_ROWS].ravel()  # u0, v0, u1, v1, ...
@@ -468,8 +362,7 @@ def bin_pairs(sample, m: int) -> BinnedOperator:
             idx -= x < lower[idx]
             idx += x >= upper[idx]
             counts += np.bincount(idx[0::2] * m + idx[1::2], minlength=m * m)
-        n += pairs.shape[0]
-    return BinnedOperator(counts.reshape(m, m) / n)
+    return counts.reshape(m, m)
 
 
 def second_singular_value(op: BinnedOperator) -> tuple[float, float]:
@@ -497,3 +390,44 @@ def second_singular_value(op: BinnedOperator) -> tuple[float, float]:
     # Fewer than three occupied rows or columns: the missing values are 0.
     sigma2, sigma3 = np.clip(np.append(sigma[1:3], [0.0, 0.0])[:2], 0.0, 1.0)
     return float(sigma2), float(sigma2 - sigma3)
+
+
+# ---------------------------------------------------------------------------
+# Exact cell masses and the binned chi-square
+
+
+def cell_masses(cdf, x_edges, y_edges) -> np.ndarray:
+    """Masses of the cells between consecutive edges, by inclusion-exclusion of ``cdf``.
+
+    ``cdf`` broadcasts over the grid of edges, then ``np.diff`` runs along
+    each axis.  Edges falling along both axes give the same masses as rising ones.
+    """
+    values = np.asarray(cdf(*np.meshgrid(x_edges, y_edges, indexing="ij")), dtype=float)
+    return np.diff(np.diff(values, axis=0), axis=1)
+
+
+def chi2_z(counts, masses) -> float:
+    """Pearson's chi-square of bin ``counts`` against exact cell ``masses``, as a z score.
+
+    Cells expected to hold fewer than 5 points are pooled into one; a point
+    in a cell of no mass (0 or, by rounding, below) gives ``inf``.  ``X^2`` on
+    ``k`` degrees of freedom, one fewer than the cells used, becomes
+    ``z = ((X^2/k)^(1/3) - 1 + 2/(9k)) / sqrt(2/(9k))`` (Wilson-Hilferty).
+    """
+    counts = np.asarray(counts, dtype=float).ravel()
+    masses = np.asarray(masses, dtype=float).ravel()
+    if counts.shape != masses.shape or abs(masses.sum() - 1.0) > 1e-9:
+        raise ValidationError("need one count per cell and masses summing to 1 within 1e-9")
+    if np.any(counts[masses <= 0.0]):
+        return math.inf
+    expected = counts.sum() * masses
+    small = expected < 5.0
+    observed = np.append(counts[~small], counts[small].sum())
+    expected = np.append(expected[~small], expected[small].sum())
+    used = expected > 0.0
+    k = int(used.sum()) - 1
+    if k < 1:
+        raise ValidationError("the chi-square needs two cells with an expected count")
+    x2 = float(np.sum((observed[used] - expected[used]) ** 2 / expected[used]))
+    h = 2.0 / (9.0 * k)
+    return ((x2 / k) ** (1.0 / 3.0) - 1.0 + h) / math.sqrt(h)

@@ -1,11 +1,13 @@
 """Self-contained property battery.
 
 Every closed form in the package is cross-checked against an
-independent route: quadrature against algebra, samplers against cdfs,
-the spectral estimator against the closed-form maximal correlation,
-and the sliding/disjoint variance inequality against Monte Carlo.
-The battery powers the ``verify`` subcommand; ``quick`` shrinks the
-sample sizes so the whole suite finishes well under a minute.
+independent route: quadrature against algebra, samplers against the
+exact cell masses of their own cdfs (a chi-square z score of the draw
+binned 16 x 16 as it streams, failing above 4), the spectral estimator
+against the closed-form maximal correlation, and the sliding/disjoint
+variance inequality against Monte Carlo.  The battery powers the
+``verify`` subcommand; ``quick`` shrinks the sample sizes so the whole
+suite finishes well under a minute.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from . import extremes, maxcorr, mo
 from .families import FAMILY_TABLE
-from .numerics import QuadratureSpec, ecdf_ks, quad_2d
+from .numerics import QuadratureSpec, _bin_counts, chi2_z, quad_2d
 from .rng import DEFAULT_SEED, RngStream
 
 
@@ -31,8 +33,8 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class BatterySizes:
-    ks_n: int
-    ks_draws: int
+    sampler_n: int
+    sampler_draws: int
     est_n: int
     est_m: int
     est_cases: int
@@ -45,21 +47,16 @@ class BatterySizes:
 
 
 FULL_SIZES = BatterySizes(
-    ks_n=100_000, ks_draws=2, est_n=1_000_000, est_m=64, est_cases=3,
+    sampler_n=100_000, sampler_draws=2, est_n=1_000_000, est_m=64, est_cases=3,
     quad_cases=6, rect_draws=10_000, rect_params=20, var_n_mc=100_000,
     zeta_nodes=32, defect_grid=101,
 )
 
 QUICK_SIZES = BatterySizes(
-    ks_n=20_000, ks_draws=1, est_n=200_000, est_m=32, est_cases=2,
+    sampler_n=20_000, sampler_draws=1, est_n=200_000, est_m=32, est_cases=2,
     quad_cases=3, rect_draws=2_000, rect_params=6, var_n_mc=30_000,
     zeta_nodes=12, defect_grid=41,
 )
-
-
-def _ks_threshold(n: int) -> float:
-    # Calibrated so n = 1e5 uses the documented 0.01 cut.
-    return 0.01 * math.sqrt(100_000 / n)
 
 
 def _random_copula(gen) -> mo.CopulaParams:
@@ -135,45 +132,36 @@ def check_max_stability(sizes: BatterySizes, rng: RngStream,
                        f"max defect {worst:.3e} over m in (2, 3, 5)")
 
 
-#: Per family, in draw order: its random parameters and the label of
-#: its worst case.
-_KS_CASES = (
-    ("copula", lambda gen: gen.uniform(0.05, 0.95, size=2), lambda d: f"copula{d}"),
-    ("d_xi", lambda gen: [gen.uniform(0.1, 1.0)], lambda d: f"d_xi{d}"),
-    ("mo", lambda gen: gen.uniform(0.3, 2.5, size=3), lambda d: f"mo{d}"),
-    ("limit_gev", lambda gen: [gen.uniform(0.1, 0.9), gen.uniform(-0.5, 0.8)],
-     lambda d: f"limit_gev(zeta={d['zeta']:.3f}, gamma={d['gamma']:.3f})"),
-    ("gaussian", lambda gen: [gen.uniform(-0.85, 0.85)],
-     lambda d: f"gaussian(rho={d['rho']:.3f})"),
+#: Per family, in draw order, its random parameters.
+_SAMPLER_CASES = (
+    ("copula", lambda gen: gen.uniform(0.05, 0.95, size=2)),
+    ("d_xi", lambda gen: [gen.uniform(0.1, 1.0)]),
+    ("mo", lambda gen: gen.uniform(0.3, 2.5, size=3)),
+    ("limit_gev", lambda gen: [gen.uniform(0.1, 0.9), gen.uniform(-0.5, 0.8)]),
+    ("gaussian", lambda gen: [gen.uniform(-0.85, 0.85)]),
 )
 
+#: Bins per axis of the sampler chi-square; it fails at a z score above 4.
+SAMPLER_BINS = 16
 
-def check_sampler_ks(sizes: BatterySizes, rng: RngStream) -> CheckResult:
-    """Each sampler against its own cdf, plus the transformed shock pairs."""
+
+def check_sampler_chi2(sizes: BatterySizes, rng: RngStream) -> CheckResult:
+    """Each sampler against its own cdf's cell masses, plus the shock pairs' copula."""
     gen = rng.generator()
-    threshold = _ks_threshold(sizes.ks_n)
-    worst = 0.0
-    worst_name = ""
-    stream_index = 0
-    for _ in range(sizes.ks_draws):
-        for name, draw, label in _KS_CASES:
-            family = FAMILY_TABLE[name]
-            p = family.params(*map(float, draw(gen)))
-            sample = mo.pair_sample(name, p, sizes.ks_n, rng.child(stream_index))
-            stream_index += 1
-            d = ecdf_ks(sample, lambda x, y: family.cdf(p, x, y))
-            if d > worst:
-                worst, worst_name = d, label(family.as_dict(p))
-            if name == "mo":
-                # The same draw taken through the marginal survivals must
-                # follow the survival copula.
-                c = mo.mo_to_copula(p)
-                d = ecdf_ks(family.to_copula(p, sample.pairs),
-                            lambda u, v: mo.copula_cdf(c, u, v))
-                if d > worst:
-                    worst, worst_name = d, f"mo->copula{asdict(p)}"
-    return CheckResult("sampler-ks", worst < threshold,
-                       f"worst KS {worst:.4f} ({worst_name}) vs threshold {threshold:.4f}")
+    scores = []
+    for i, (name, draw) in enumerate(_SAMPLER_CASES * sizes.sampler_draws):
+        family = FAMILY_TABLE[name]
+        p = family.params(*map(float, draw(gen)))
+        counts = _bin_counts(mo.pair_chunks(name, p, sizes.sampler_n, rng.child(i)), SAMPLER_BINS)
+        label = family.as_dict(p)
+        scores.append((chi2_z(counts, family.masses(p, SAMPLER_BINS)), f"{name}{label}"))
+        if name == "mo":
+            # The same draw through the marginal survivals follows the survival copula.
+            copula = FAMILY_TABLE["copula"].masses(mo.mo_to_copula(p), SAMPLER_BINS)
+            scores.append((chi2_z(counts, copula), f"mo->copula{label}"))
+    worst, worst_name = max(scores)
+    return CheckResult("sampler-chi2", worst <= 4.0,
+                       f"worst chi2 z {worst:.2f} ({worst_name}) vs 4")
 
 
 def check_quadrature_agreement(sizes: BatterySizes, rng: RngStream) -> CheckResult:
@@ -286,7 +274,7 @@ def run_battery(seed: int = DEFAULT_SEED, quick: bool = False,
     root = RngStream(seed)
     checks = (check_copula_axioms, check_survival_identity,
               functools.partial(check_max_stability, inject_defect=inject_defect),
-              check_sampler_ks, check_quadrature_agreement, check_power_consistency,
+              check_sampler_chi2, check_quadrature_agreement, check_power_consistency,
               check_estimator_closed_form, check_dxi_estimator, check_gaussian_oracle,
               check_variance_inequality, check_zeta_factorization)
     return [fn(sizes, root.child(1000 + i)) for i, fn in enumerate(checks)]

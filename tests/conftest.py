@@ -1,5 +1,9 @@
 from hypothesis import HealthCheck, settings
 
+from mocorr.families import FAMILY_TABLE
+from mocorr.numerics import _bin_counts, chi2_z
+from mocorr.verify import SAMPLER_BINS
+
 settings.register_profile(
     "ci",
     derandomize=True,
@@ -19,3 +23,17 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def sampler_z(sample, family, p):
+    """The battery's chi-square z of a ``family`` draw against its cell masses at ``p``.
+
+    ``sample`` is a :class:`~mocorr.mo.PairSample` or an ``(n, 2)`` array on
+    the family's own scale; a family off the copula scale maps it there
+    through its margins at ``p``.
+    """
+    record = FAMILY_TABLE[family]
+    pairs = getattr(sample, "pairs", sample)
+    if record.to_copula is not None:
+        pairs = record.to_copula(p, pairs)
+    return chi2_z(_bin_counts(pairs, SAMPLER_BINS), record.masses(p, SAMPLER_BINS))

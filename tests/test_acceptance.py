@@ -19,14 +19,12 @@ from mocorr.extremes import (
     ZetaOverlap,
     block_maxima_simulate,
     gev_quantile,
-    limit_copula_cdf,
     sample_limit_pair,
     sigma2_sb,
 )
 from mocorr.maxcorr import (
     PowerIndex,
     estimate_max_corr,
-    gaussian_copula_cdf,
     max_corr_closed,
     max_corr_from_rates,
     power_corr,
@@ -40,13 +38,12 @@ from mocorr.mo import (
     MOParams,
     copula_cdf,
     max_stability_defect,
-    mo_cdf,
     mo_to_copula,
     sample_copula,
     sample_d_xi,
     sample_mo,
 )
-from mocorr.numerics import QuadratureSpec, ecdf_ks, quad_2d
+from mocorr.numerics import QuadratureSpec, quad_2d
 from mocorr.rng import RngStream
 from mocorr.serialize import canonical_json
 
@@ -250,46 +247,57 @@ def criterion_8() -> dict:
 
 
 def criterion_9() -> dict:
-    """Every sampler matches its own cdf in KS distance."""
+    """Every sampler fits its own cdf in the battery's chi-square, and a shifted one it does not.
+
+    Each draw is binned on the battery's 16 x 16 copula-scale grid and scored
+    against the exact cell masses of its own cdf (z <= 4) and against those of
+    the law with its dependence parameter moved by 0.04 (z > 4): ``phi`` of
+    the shock model's copula at fixed margins, ``phi``, ``xi``, ``zeta``
+    (towards 1/2) and ``rho``.
+    """
     root = RngStream(20260827)
     gen = root.generator()
     n = 100_000
+    shift = 0.04
     cases = []
-    worst = 0.0
 
-    def record(family, params_dict, stat):
-        nonlocal worst
-        worst = max(worst, stat)
-        cases.append({"family": family, "params": params_dict, "ks": stat})
+    def record(family, p, shifted, sample, params_dict):
+        cases.append({"family": family, "params": params_dict,
+                      "z": conftest.sampler_z(sample, family, p),
+                      "shifted_z": conftest.sampler_z(sample, family, shifted)})
 
     for i in range(5):
         rates = gen.uniform(0.1, 5.0, 3)
         p = MOParams(*map(float, rates))
-        s = sample_mo(p, n, root.child(10 + i))
-        record("mo", asdict(p), ecdf_ks(s, lambda x, y: mo_cdf(p, x, y)))
+        rate = p.lambda1 + p.lambda12
+        moved = mo_to_copula(p).phi + shift
+        record("mo", p, MOParams((1.0 - moved) * rate, p.lambda2, moved * rate),
+               sample_mo(p, n, root.child(10 + i)), asdict(p))
 
         phi, psi = gen.uniform(0.05, 0.95, 2)
         c = CopulaParams(float(phi), float(psi))
-        s = sample_copula(c, n, root.child(20 + i))
-        record("copula", asdict(c), ecdf_ks(s, lambda u, v: copula_cdf(c, u, v)))
+        record("copula", c, CopulaParams(c.phi + shift, c.psi),
+               sample_copula(c, n, root.child(20 + i)), asdict(c))
 
         d = DXiParam(float(gen.uniform(0.05, 0.95)))
-        s = sample_d_xi(d, n, root.child(30 + i))
-        record("d_xi", asdict(d), ecdf_ks(s, lambda u, v: copula_cdf(d.copula, u, v)))
+        record("d_xi", d, DXiParam(d.xi + shift), sample_d_xi(d, n, root.child(30 + i)),
+               asdict(d))
 
         z = ZetaOverlap(float(gen.uniform(0.0, 1.0)))
         g = GEVShape(float(gen.uniform(-0.5, 1.0)))
-        s = sample_limit_pair(z, g, n, root.child(40 + i))
-        record("limit_gev", {"zeta": z.zeta, "gamma": g.gamma},
-               ecdf_ks(s, lambda x, y: limit_copula_cdf(z, g, x, y)))
+        moved = ZetaOverlap(z.zeta + (shift if z.zeta < 0.5 else -shift))
+        record("limit_gev", (z, g), (moved, g), sample_limit_pair(z, g, n, root.child(40 + i)),
+               {"zeta": z.zeta, "gamma": g.gamma})
 
         rho = float(gen.uniform(-0.95, 0.95))
-        s = sample_gaussian_copula(rho, n, root.child(50 + i))
-        record("gaussian", {"rho": rho},
-               ecdf_ks(s, lambda u, v: gaussian_copula_cdf(rho, u, v)))
+        record("gaussian", rho, rho + shift, sample_gaussian_copula(rho, n, root.child(50 + i)),
+               {"rho": rho})
 
-    return {"criterion": 9, "n": n, "draws_per_family": 5, "tolerance": 0.01,
-            "worst_ks": worst, "cases": cases, "passed": bool(worst < 0.01)}
+    worst = max(c["z"] for c in cases)
+    least_shifted = min(c["shifted_z"] for c in cases)
+    return {"criterion": 9, "n": n, "bins": 16, "draws_per_family": 5, "tolerance": 4.0,
+            "shift": shift, "worst_z": worst, "least_shifted_z": least_shifted,
+            "cases": cases, "passed": bool(worst <= 4.0 < least_shifted)}
 
 
 def criterion_10() -> dict:
@@ -434,7 +442,8 @@ def test_criterion_08_copula_axioms():
 
 def test_criterion_09_sampler_fidelity():
     r = _run_cached(9)
-    _announce(9, r["passed"], f"worst KS {r['worst_ks']:.4f} vs 0.01")
+    _announce(9, r["passed"], f"worst z {r['worst_z']:.2f} vs 4, "
+                              f"least shifted z {r['least_shifted_z']:.2f}")
     assert r["passed"]
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -8,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from mocorr import FAMILIES, extremes
+from mocorr import FAMILIES, extremes, verify
 from mocorr.cli import _family_params, build_parser, main
 from mocorr.errors import ValidationError
 from mocorr.families import FAMILY_TABLE
@@ -655,6 +656,29 @@ class TestVerify:
         assert code == 3
         assert json.loads(out)["passed"] is False
         assert "FAIL" in err
+
+    def test_a_sampler_drawing_at_phi_plus_001_fails_only_the_sampler_check(
+            self, capsys, monkeypatch):
+        copula = FAMILY_TABLE["copula"]
+
+        def off_by_001(c, gen, size):
+            return copula.chunk(CopulaParams(c.phi + 0.01, c.psi), gen, size)
+
+        monkeypatch.setitem(FAMILY_TABLE, "copula", dataclasses.replace(copula, chunk=off_by_001))
+        # The full battery: the quick one's single draw of 2e4 pairs per family
+        # misses phi + 0.01 at some (phi, psi), the default seed's among them.
+        code, out, _ = run_cli(capsys, "verify")
+        assert code == 3
+        assert [c["name"] for c in json.loads(out)["checks"] if not c["passed"]] == \
+            ["sampler-chi2"]
+
+    @pytest.mark.parametrize("sizes", [verify.QUICK_SIZES, verify.FULL_SIZES],
+                             ids=["quick", "full"])
+    def test_sampler_chi2_passes_at_seeds_1_to_40(self, sizes):
+        # On the battery's own stream for the check, child 1003 of the seed.
+        for seed in range(1, 41):
+            result = verify.check_sampler_chi2(sizes, RngStream(seed).child(1003))
+            assert result.passed, (seed, result.detail)
 
 
 class TestParsing:

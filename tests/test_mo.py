@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import sampler_z
 from mocorr.errors import EvaluationError, ValidationError
 from mocorr.extremes import GEVShape, ZetaOverlap
 from mocorr.maxcorr import PowerIndex
@@ -27,7 +28,6 @@ from mocorr.mo import (
     sample_mo,
     write_sample_csv,
 )
-from mocorr.numerics import ecdf_ks
 from mocorr.rng import RngStream, draw_uniforms
 
 rates = st.floats(min_value=0.05, max_value=20.0, allow_nan=False)
@@ -218,9 +218,11 @@ class TestSamplers:
         assert abs(frac - target) <= 3 * se
 
     def test_copula_sampler_ks(self):
+        # The battery's chi-square: the draw fits its own copula, not phi + 0.01.
         c = CopulaParams(0.5, 0.5)
         s = sample_copula(c, 100_000, RngStream(44))
-        assert ecdf_ks(s, lambda u, v: copula_cdf(c, u, v)) < 0.01
+        assert sampler_z(s, "copula", c) < 4.0
+        assert sampler_z(s, "copula", CopulaParams(0.51, 0.5)) > 4.0
 
     def test_copula_comonotone_degenerate(self):
         s = sample_copula(CopulaParams(1, 1), 1000, RngStream(45))
@@ -229,7 +231,9 @@ class TestSamplers:
     def test_copula_independence_degenerate(self):
         c = CopulaParams(0, 0)
         s = sample_copula(c, 100_000, RngStream(46))
-        assert ecdf_ks(s, lambda u, v: u * v) < 0.01
+        assert sampler_z(s, "copula", c) < 4.0
+        # C_{phi, 0} is independence at every phi; both exponents at 0.04 are not.
+        assert sampler_z(s, "copula", CopulaParams(0.04, 0.04)) > 4.0
 
     def test_copula_power_corr_frozen(self):
         # Corr(f_0(U), f_0(V)) at phi = psi = 0.5 is 0.75/1.75.
@@ -242,7 +246,8 @@ class TestSamplers:
     def test_d_xi_sampler_ks(self):
         d = DXiParam(0.5)
         s = sample_d_xi(d, 100_000, RngStream(48))
-        assert ecdf_ks(s, lambda u, v: copula_cdf(d.copula, u, v)) < 0.01
+        assert sampler_z(s, "d_xi", d) < 4.0
+        assert sampler_z(s, "d_xi", DXiParam(0.51)) > 4.0
 
     @pytest.mark.parametrize("xi", [0.3, 1.0])
     def test_d_xi_sampler_is_section_map(self, xi):
@@ -274,7 +279,11 @@ class TestSamplers:
             mo_marginal_survival(p, 1, s.pairs[:, 0]),
             mo_marginal_survival(p, 2, s.pairs[:, 1]),
         ])
-        assert ecdf_ks(transformed, lambda u, v: copula_cdf(c, u, v)) < 0.01
+        assert sampler_z(transformed, "copula", c) < 4.0
+        assert sampler_z(transformed, "copula", CopulaParams(c.phi + 0.01, c.psi)) > 4.0
+        # The native draw against the shock model's own cdf: the same counts.
+        assert sampler_z(s, "mo", p) == pytest.approx(sampler_z(transformed, "copula", c),
+                                                      abs=1e-9)
 
     def test_mo_shock_overflow(self):
         # A shock time past the float range is inf; the minimum with the other

@@ -17,14 +17,15 @@ from mocorr.mo import (
     mo_cdf,
     mo_marginal_survival,
     mo_survival,
-    pair_sample,
-    sample_copula,
+    mo_to_copula,
 )
 from mocorr.numerics import (
     BinnedOperator,
     QuadratureSpec,
+    _bin_counts,
     bin_pairs,
-    ecdf_ks,
+    cell_masses,
+    chi2_z,
     quad_2d,
     second_singular_value,
 )
@@ -61,80 +62,86 @@ class TestQuadrature:
             QuadratureSpec(0, 1)
 
 
-class TestEcdfKs:
-    def test_single_point_against_independence(self):
-        sample = np.array([[0.5, 0.5]])
-        assert ecdf_ks(sample, lambda u, v: u * v) == pytest.approx(0.75)
+class TestCellMassesAndChi2:
+    def test_independence_masses_are_the_cell_areas(self):
+        t = np.linspace(0.0, 1.0, 9)
+        masses = cell_masses(lambda u, v: u * v, t, t)
+        assert masses.shape == (8, 8)
+        np.testing.assert_allclose(masses, 1.0 / 64, rtol=0, atol=1e-17)
 
-    def test_matches_brute_force(self):
-        gen = RngStream(5).generator()
-        pts = gen.random((400, 2))
-        # Duplicate some rows to exercise the tie handling.
-        pts[50:60] = pts[0]
-        pts[:, 1][100:110] = pts[:, 1][0]
-        cases = [pts]
-        # Both coordinates tie: points of a k x k lattice.
-        cases += [gen.integers(0, k, (n, 2)) / k for k in (1, 2, 3, 5) for n in (1, 2, 60)]
-        ties_x, ties_y = pts[:60].copy(), pts[:60].copy()
-        ties_x[:, 0] = np.round(ties_x[:, 0] * 4) / 4
-        ties_y[:, 1] = np.round(ties_y[:, 1] * 4) / 4
-        cases += [ties_x, ties_y, np.repeat(pts[:1], 30, axis=0), pts[:1], pts[:2],
-                  4.0 * pts[:300] - 3.0, gen.integers(-3, 2, (60, 2)).astype(float)]
+    def test_edges_falling_on_both_axes_give_the_same_masses(self):
+        c = CopulaParams(0.3, 0.7)
+        t = np.linspace(0.0, 1.0, 17)
+        rising = cell_masses(lambda u, v: copula_cdf(c, u, v), t, t)
+        falling = cell_masses(lambda u, v: copula_cdf(c, u, v), t[::-1], t[::-1])
+        np.testing.assert_array_equal(falling, rising[::-1, ::-1])
 
-        def brute(sample, cdf):
-            worst = 0.0
-            n = len(sample)
-            for a, b in sample:
-                le = np.sum((sample[:, 0] <= a) & (sample[:, 1] <= b)) / n
-                lt = np.sum((sample[:, 0] < a) & (sample[:, 1] < b)) / n
-                c = float(cdf(np.array([a]), np.array([b]))[0])
-                worst = max(worst, abs(le - c), abs(lt - c))
-            return worst
-
-        def spike(a, b, height):
-            return lambda u, v: np.where((u == a) & (v == b), height, 0.5)
-
-        for case in cases:
-            cdfs = [lambda u, v: u * v]
-            if len(case) <= 60:
-                # A cdf far off at one point makes the distance that point's
-                # own count, 2 - strict/n or 1 + inclusive/n, so that no
-                # miscount hides under the maximum.
-                cdfs += [spike(a, b, h) for a, b in np.unique(case, axis=0)
-                         for h in (-1.0, 2.0)]
-            for cdf in cdfs:
-                assert ecdf_ks(case, cdf) == pytest.approx(brute(case, cdf), abs=1e-15)
-
-    # One draw per family at the battery's ks_n = 100,000.  A single
-    # miscounted point moves the distance by ~1e-5, far inside every KS
-    # threshold, so the counts are pinned by the exact float.
-    @pytest.mark.parametrize("family, args, expected", [
-        ("mo", (1.0, 2.0, 1.5), 0.002782952173324249),
-        ("copula", (0.3, 0.7), 0.002893290173391516),
-        ("d_xi", (0.5,), 0.0030692637545379764),
-        ("limit_gev", (0.3, 0.2), 0.0030090992928311633),
-        ("gaussian", (0.5,), 0.0027365063983201265),
+    @pytest.mark.parametrize("family, args, copula", [
+        ("mo", (1.0, 2.0, 1.5), lambda p: mo_to_copula(p)),
+        ("mo", (0.3, 2.5, 0.4), lambda p: mo_to_copula(p)),
+        ("limit_gev", (0.3, 0.2), lambda p: CopulaParams(1 - p[0].zeta, 1 - p[0].zeta)),
+        ("limit_gev", (0.7, -0.5), lambda p: CopulaParams(1 - p[0].zeta, 1 - p[0].zeta)),
+        ("limit_gev", (0.1, 0.0), lambda p: CopulaParams(1 - p[0].zeta, 1 - p[0].zeta)),
+        ("limit_gev", (0.5, 3.0), lambda p: CopulaParams(1 - p[0].zeta, 1 - p[0].zeta)),
     ])
-    def test_exact_value_at_battery_size(self, family, args, expected):
-        record = FAMILY_TABLE[family]
-        p = record.params(*args)
-        sample = pair_sample(family, p, 100_000, RngStream(11))
-        assert ecdf_ks(sample, lambda x, y: record.cdf(p, x, y)) == expected
+    def test_native_masses_are_the_copula_masses(self, family, args, copula):
+        # Each family's own cdf at the preimages of the uniform edges, the
+        # far ones at +-DBL_MAX, against the copula on the uniform edges.
+        p = FAMILY_TABLE[family].params(*args)
+        native = FAMILY_TABLE[family].masses(p, 16)
+        assert native.min() >= 0.0
+        np.testing.assert_allclose(native, FAMILY_TABLE["copula"].masses(copula(p), 16),
+                                   rtol=0, atol=5e-16)
 
-    def test_sample_against_own_cdf_small(self):
-        c = CopulaParams(0.4, 0.8)
-        sample = sample_copula(c, 100_000, RngStream(17))
-        assert ecdf_ks(sample, lambda u, v: copula_cdf(c, u, v)) < 0.01
+    def test_z_from_the_formula(self):
+        # Four cells expected 25 each: X^2 = (25 + 25 + 0 + 0) / 25 on 3 df.
+        h = 2.0 / 27.0
+        expected = ((2.0 / 3.0) ** (1.0 / 3.0) - 1.0 + h) / math.sqrt(h)
+        z = chi2_z(np.array([[30, 20], [25, 25]]), np.full((2, 2), 0.25))
+        assert z == pytest.approx(expected, rel=1e-15)
 
-    def test_identical_statistic_for_agreeing_cdfs(self):
-        pts = RngStream(9).generator().random((200, 2))
-        a = ecdf_ks(pts, lambda u, v: u * v)
-        b = ecdf_ks(pts, lambda u, v: u * v + 0.0)
-        assert a == b
+    @pytest.mark.parametrize("quantile", [0.5, 0.9, 0.999, 0.99997])
+    def test_z_is_the_normal_quantile_of_the_chi2_tail(self, quantile):
+        # At the battery's 255 degrees of freedom, Wilson-Hilferty is
+        # within 0.01 of the exact normal score, out to z = 4.
+        stats = pytest.importorskip("scipy.stats")
+        k = 255
+        x2 = stats.chi2.ppf(quantile, k)
+        n = 1_000_000
+        masses = np.full(k + 1, 1.0 / (k + 1))
+        # Counts that give X^2 = x2: one cell high, one low, the rest exact.
+        d = math.sqrt(x2 * (n / (k + 1)) / 2.0)
+        counts = np.full(k + 1, n / (k + 1))
+        counts[0] += d
+        counts[1] -= d
+        assert chi2_z(counts, masses) == pytest.approx(stats.norm.ppf(quantile), abs=0.01)
 
-    def test_empty_sample_rejected(self):
-        with pytest.raises(ValidationError):
-            ecdf_ks(np.empty((0, 2)), lambda u, v: u * v)
+    def test_cells_expected_below_five_are_pooled(self):
+        masses = np.array([0.5, 0.49, 0.006, 0.004])
+        # Expected 50, 49 and a pool of 1 with one point: X^2 = 0 on 2 df.
+        z = chi2_z(np.array([50, 49, 0, 1]), masses)
+        h = 2.0 / 18.0
+        assert z == pytest.approx((-1.0 + h) / math.sqrt(h), rel=1e-15)
+
+    def test_a_point_in_a_cell_of_no_mass_is_infinite(self):
+        masses = np.array([[0.5, 0.0], [0.0, 0.5]])
+        assert chi2_z(np.array([[500, 0], [0, 500]]), masses) < 0.0
+        assert chi2_z(np.array([[500, 1], [0, 499]]), masses) == math.inf
+
+    @pytest.mark.parametrize("counts, masses, message", [
+        (np.ones(4), np.full(3, 1.0 / 3), "one count per cell"),
+        (np.ones(4), np.full(4, 0.3), "summing to 1"),
+        (np.array([10, 0]), np.array([1.0, 0.0]), "two cells"),
+    ])
+    def test_refusals(self, counts, masses, message):
+        with pytest.raises(ValidationError, match=message):
+            chi2_z(counts, masses)
+
+    def test_counts_are_those_behind_bin_pairs(self):
+        pairs = RngStream(9).generator().random((1000, 2))
+        counts = _bin_counts(pairs, 8)
+        assert counts.dtype.kind == "i" and counts.sum() == 1000
+        np.testing.assert_array_equal(bin_pairs(pairs, 8).joint_mass, counts / 1000)
 
 
 class TestBinnedOperator:
@@ -284,9 +291,6 @@ RANGE_SITES = {
                   "coordinates must lie in [0, 1] (copula scale)",
                   "coordinates must lie in [0, 1] (copula scale)",
                   "sample must contain at least one pair"),
-    "ecdf_ks": (lambda x: ecdf_ks(_pairs_with(x), lambda u, v: u * v), -np.inf, np.inf,
-                "sample coordinates must be finite", None,
-                "sample must contain at least one pair"),
     "gev_cdf": (lambda x: gev_cdf(GEVShape(0.2), x), -np.inf, np.inf, "x must be finite",
                 None, None),
 }

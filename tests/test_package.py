@@ -8,7 +8,7 @@ BinnedOperator BlockSimResult CopulaParams DEFAULT_SEED DISTRIBUTIONS DXiParam
 DivergentMomentError EvaluationError FAMILIES FAMILY_TABLE Functional GEVShape MOParams
 MaxCorrEstimate MocorrError PairSample PowerIndex QuadratureSpec RngStream
 ValidationError VarianceReport ZetaOverlap battery_report bin_pairs
-block_maxima_simulate check_moments copula_cdf doa_scaling ecdf_ks estimate_max_corr
+block_maxima_simulate check_moments copula_cdf doa_scaling estimate_max_corr
 gaussian_copula_cdf gev_cdf gev_quantile limit_copula_cdf limit_pair_corr
 max_corr_closed max_corr_from_rates max_stability_defect mo_cdf mo_marginal_survival
 mo_survival mo_to_copula power_corr power_cov power_transform quad_2d run_battery

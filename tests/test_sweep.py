@@ -16,6 +16,7 @@ import json
 import pytest
 
 from mocorr.cli import main
+from mocorr.extremes import GEVShape, gev_cdf, gev_quantile
 
 EDGES = ("0", "5e-324", "1e-300", "-1e-300", "1e300", "-1e300",
          "1.7976931348623157e308", "-1.7976931348623157e308")
@@ -121,3 +122,28 @@ def test_far_float_edges_end_cleanly(name, tmp_path):
             if problem is not None:
                 failures.append(f"{' '.join(argv)}: {problem}")
     assert not failures, "\n".join(failures)
+
+
+# mpmath references at 50 digits, for the exact float inputs, where gamma*x
+# or expm1(gamma*s) overflows a float though the value does not.
+
+
+def test_gev_cdf_past_an_overflowing_gamma_x():
+    assert gev_cdf(GEVShape(1e300), 1e300) == pytest.approx(0.36787944117144232, rel=1e-14)
+
+
+def test_gev_quantile_past_an_overflowing_expm1():
+    # One ulp of the Gumbel value s = 7.11 moves gamma*s, so the quantile,
+    # by 8.9e-14 relative at gamma = 100.
+    value = gev_quantile(GEVShape(100), 0.9991874997410728)
+    assert value == pytest.approx(1.0000000000003514e307, rel=1e-13)
+
+
+def test_cdf_eval_past_an_overflowing_gamma_x():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["cdf-eval", "--family", "limit_gev", "--zeta", "0.3", "--gamma", "100",
+                     "--at", "1e307", "1e307"])
+    assert code == 0
+    value = json.loads(out.getvalue())["points"][0]["value"]
+    assert value == pytest.approx(0.99894387841835903, rel=1e-14)
