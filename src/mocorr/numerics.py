@@ -409,7 +409,8 @@ def cell_masses(cdf, x_edges, y_edges) -> np.ndarray:
 def chi2_z(counts, masses) -> float:
     """Pearson's chi-square of bin ``counts`` against exact cell ``masses``, as a z score.
 
-    Cells expected to hold fewer than 5 points are pooled into one; a point
+    Cells expected to hold fewer than 5 points are pooled into one, and a
+    pool itself expected below 5 joins the smallest other cell; a point
     in a cell of no mass (0 or, by rounding, below) gives ``inf``.  ``X^2`` on
     ``k`` degrees of freedom, one fewer than the cells used, becomes
     ``z = ((X^2/k)^(1/3) - 1 + 2/(9k)) / sqrt(2/(9k))`` (Wilson-Hilferty).
@@ -422,12 +423,17 @@ def chi2_z(counts, masses) -> float:
         return math.inf
     expected = counts.sum() * masses
     small = expected < 5.0
-    observed = np.append(counts[~small], counts[small].sum())
-    expected = np.append(expected[~small], expected[small].sum())
-    used = expected > 0.0
-    k = int(used.sum()) - 1
+    pool = counts[small].sum(), expected[small].sum()
+    observed, expected = counts[~small], expected[~small]
+    if pool[1] >= 5.0:
+        observed, expected = np.append(observed, pool[0]), np.append(expected, pool[1])
+    elif observed.size:
+        i = np.argmin(expected)
+        observed[i] += pool[0]
+        expected[i] += pool[1]
+    k = observed.size - 1
     if k < 1:
-        raise ValidationError("the chi-square needs two cells with an expected count")
-    x2 = float(np.sum((observed[used] - expected[used]) ** 2 / expected[used]))
+        raise ValidationError("the chi-square needs two cells expected to hold 5 points")
+    x2 = float(np.sum((observed - expected) ** 2 / expected))
     h = 2.0 / (9.0 * k)
     return ((x2 / k) ** (1.0 / 3.0) - 1.0 + h) / math.sqrt(h)

@@ -1,8 +1,7 @@
 from hypothesis import HealthCheck, settings
 
+from mocorr import verify
 from mocorr.families import FAMILY_TABLE
-from mocorr.numerics import _bin_counts, chi2_z
-from mocorr.verify import SAMPLER_BINS
 
 settings.register_profile(
     "ci",
@@ -26,7 +25,7 @@ def pytest_terminal_summary(terminalreporter):
 
 
 def sampler_z(sample, family, p):
-    """The battery's chi-square z of a ``family`` draw against its cell masses at ``p``.
+    """:func:`mocorr.verify.sampler_z` of a ``family`` draw scored at ``p``.
 
     ``sample`` is a :class:`~mocorr.mo.PairSample` or an ``(n, 2)`` array on
     the family's own scale; a family off the copula scale maps it there
@@ -36,4 +35,4 @@ def sampler_z(sample, family, p):
     pairs = getattr(sample, "pairs", sample)
     if record.to_copula is not None:
         pairs = record.to_copula(p, pairs)
-    return chi2_z(_bin_counts(pairs, SAMPLER_BINS), record.masses(p, SAMPLER_BINS))
+    return verify.sampler_z(family, p, pairs)

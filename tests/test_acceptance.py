@@ -249,11 +249,11 @@ def criterion_8() -> dict:
 def criterion_9() -> dict:
     """Every sampler fits its own cdf in the battery's chi-square, and a shifted one it does not.
 
-    Each draw is binned on the battery's 16 x 16 copula-scale grid and scored
-    against the exact cell masses of its own cdf (z <= 4) and against those of
-    the law with its dependence parameter moved by 0.04 (z > 4): ``phi`` of
-    the shock model's copula at fixed margins, ``phi``, ``xi``, ``zeta``
-    (towards 1/2) and ``rho``.
+    Each draw is scored by the battery's ``sampler_z`` (the 16 x 16
+    copula-scale cells and each margin) against the exact cell masses of its
+    own cdf (z <= 4) and against those of the law with its dependence
+    parameter moved by 0.04 (z > 4): ``phi`` of the shock model's copula at
+    fixed margins, ``phi``, ``xi``, ``zeta`` (towards 1/2) and ``rho``.
     """
     root = RngStream(20260827)
     gen = root.generator()

@@ -253,16 +253,17 @@ def test_verify_estimator_checks_never_hold_the_whole_sample(check):
     assert peak < sizes.est_n * 16, peak
 
 
-def test_verify_sampler_check_never_holds_a_whole_draw():
-    sizes = dataclasses.replace(verify.QUICK_SIZES, sampler_n=200_000)
+def test_verify_sampler_check_never_holds_a_whole_draw(monkeypatch):
+    monkeypatch.setattr(verify, "SAMPLER_N", 200_000)
     rng = RngStream(23)
-    expected = verify.check_sampler_chi2(sizes, rng)  # warm-up: imports are not counted
+    # Warm-up: imports are not counted.
+    expected = verify.check_sampler_chi2(verify.QUICK_SIZES, rng)
     tracemalloc.start()
     try:
-        result = verify.check_sampler_chi2(sizes, rng)
+        result = verify.check_sampler_chi2(verify.QUICK_SIZES, rng)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert result == expected
     # One (n, 2) float array alone is n * 16 bytes.
-    assert peak < sizes.sampler_n * 16, peak
+    assert peak < verify.SAMPLER_N * 16, peak

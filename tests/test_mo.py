@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import sampler_z
 from mocorr.errors import EvaluationError, ValidationError
 from mocorr.extremes import GEVShape, ZetaOverlap
+from mocorr.families import FAMILY_TABLE
 from mocorr.maxcorr import PowerIndex
 from mocorr.mo import (
     CopulaParams,
@@ -28,6 +29,7 @@ from mocorr.mo import (
     sample_mo,
     write_sample_csv,
 )
+from mocorr.numerics import chi2_z
 from mocorr.rng import RngStream, draw_uniforms
 
 rates = st.floats(min_value=0.05, max_value=20.0, allow_nan=False)
@@ -284,6 +286,16 @@ class TestSamplers:
         # The native draw against the shock model's own cdf: the same counts.
         assert sampler_z(s, "mo", p) == pytest.approx(sampler_z(transformed, "copula", c),
                                                       abs=1e-9)
+
+    def test_a_shifted_margin_fails_on_the_margins(self):
+        # lambda12 + 0.06 tilts both margins on the copula scale: spread over
+        # the 256 joint cells it stays under 4, on the margins it does not.
+        p = MOParams(1.0, 2.0, 1.5)
+        s = sample_mo(MOParams(1.0, 2.0, 1.56), 100_000, RngStream(53))
+        u = FAMILY_TABLE["mo"].to_copula(p, s.pairs)
+        counts = np.histogram2d(u[:, 0], u[:, 1], bins=16, range=[[0, 1], [0, 1]])[0]
+        assert chi2_z(counts, FAMILY_TABLE["mo"].masses(p, 16)) < 4.0
+        assert sampler_z(s, "mo", p) > 4.0
 
     def test_mo_shock_overflow(self):
         # A shock time past the float range is inf; the minimum with the other

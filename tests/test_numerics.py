@@ -117,11 +117,19 @@ class TestCellMassesAndChi2:
         assert chi2_z(counts, masses) == pytest.approx(stats.norm.ppf(quantile), abs=0.01)
 
     def test_cells_expected_below_five_are_pooled(self):
-        masses = np.array([0.5, 0.49, 0.006, 0.004])
-        # Expected 50, 49 and a pool of 1 with one point: X^2 = 0 on 2 df.
-        z = chi2_z(np.array([50, 49, 0, 1]), masses)
+        masses = np.array([0.45, 0.45, 0.04, 0.03, 0.03])
+        # Expected 45, 45 and a pool of 10 holding 10: X^2 = 0 on 2 df.
+        z = chi2_z(np.array([45, 45, 2, 5, 3]), masses)
         h = 2.0 / 18.0
         assert z == pytest.approx((-1.0 + h) / math.sqrt(h), rel=1e-15)
+
+    def test_a_pool_expected_below_five_joins_the_smallest_cell(self):
+        # Alone, a pool expected to hold 0.01 points that holds one would
+        # add 98 to X^2; with the cell expected 49.99 it adds nothing.
+        masses = np.array([0.5, 0.4999, 0.00006, 0.00004])
+        z = chi2_z(np.array([50, 49, 0, 1]), masses)
+        h = 2.0 / 9.0
+        assert z == pytest.approx((-1.0 + h) / math.sqrt(h), abs=1e-6)
 
     def test_a_point_in_a_cell_of_no_mass_is_infinite(self):
         masses = np.array([[0.5, 0.0], [0.0, 0.5]])
