@@ -95,7 +95,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
     _, params = _family_params(args)
     if args.out is None:
         raise ValidationError("sample requires --out PATH for the CSV payload")
-    sample = mo.pair_sample(args.family, params, args.n, RngStream(args.seed))
+    # Written as it is drawn: only one RNG chunk of pairs is held at a time.
+    sample = mo.sample_chunks(args.family, params, args.n, RngStream(args.seed))
     mo.write_sample_csv(sample, args.out)
     sys.stderr.write(f"wrote {sample.n} pairs to {args.out}\n")
     return 0

@@ -23,13 +23,16 @@ import numpy as np
 
 from .errors import DivergentMomentError, EvaluationError, ValidationError, _check_floats
 from .mo import CopulaParams, PairSample, copula_cdf, pair_sample
-from .numerics import QuadratureSpec, _check_range
-from .rng import RngStream, draw_iid, draw_uniforms
+from .numerics import (QuadratureSpec, _check_range, _disjoint_maxima, _lag_window_estimate,
+                       _sliding_values)
+from .rng import RngStream, draw_uniforms, iter_chunks
 
 #: Default rule for the overlap integral.
 DEFAULT_ZETA_QUAD = QuadratureSpec(32, 1)
 
-#: Sequence-length cap for the block simulator (doubles, ~400 MB).
+#: Sequence-length cap for the block simulator.  The sequence is drawn in
+#: chunks, but sliding mode holds one value of ``h`` per window, so this
+#: bounds that array (doubles, ~400 MB) and the run time.
 MAX_SEQUENCE_LENGTH = 50_000_000
 
 
@@ -539,34 +542,6 @@ def sliding_max(x: np.ndarray, r: int) -> np.ndarray:
     return np.maximum(suffix.ravel()[: n - r + 1], prefix[r - 1: n])
 
 
-def _lag_window_estimate(y: np.ndarray, r: int) -> float:
-    """Rectangular lag-window long-run variance of the sliding series.
-
-    ``(1/r) * sum_{|k| < r} chat_k`` equals ``(N/r)`` times the
-    estimated variance of the sliding mean; trapezoid exactness over the
-    overlap grid makes it a consistent estimate of the overlap integral.
-
-    With ``yc`` the centered series and ``w_t = sum_{j=t}^{min(t+r-1, n-1)}
-    yc_j``, ``chat_0 + 2 * sum_{k=1}^{r-1} chat_k = (2 yc.w - yc.yc) / n``,
-    so one cumsum gives it in O(n) time and memory.  It is summed as
-    ``yc.(yc + 2 v) / n`` with ``v = w - yc``: at ``r = 1`` the window
-    ``v`` is exactly 0 and the result is ``np.var(y)``.
-    """
-    n = y.size
-    yc = y - y.mean()
-    # c[i] = sum_{j<i} yc_j, held at its total past i = n, so that
-    # v_t = sum_{j=t+1}^{min(t+r-1, n-1)} yc_j = c[t+r] - c[t+1].
-    c = np.empty(n + r)
-    c[0] = 0.0
-    np.cumsum(yc, out=c[1:n + 1])
-    c[n + 1:] = c[n]
-    v = c[r:r + n] - c[1:n + 1]
-    v *= 2.0
-    v += yc
-    v *= yc
-    return float(v.sum() / n / r)
-
-
 @dataclass(frozen=True)
 class BlockSimResult:
     """One block-maxima simulation estimate with a resampled SE.
@@ -605,9 +580,14 @@ def block_maxima_simulate(dist: str, r: int, n_blocks: int, mode: str,
     scaled back by blocks), estimating the sliding-blocks variance.  The
     lag-window sum ``chat_0 + 2 * sum_{k<r} chat_k`` is
     ``(2 yc.w - yc.yc) / n`` with ``w`` the forward window sums of the
-    centered series ``yc``, a difference of one cumsum, so the sliding
-    estimate costs O(n).  Standard errors come from re-running the
-    estimator on up to 20 disjoint segments of the same sequence.
+    centered series ``yc``, differences of its running sums, so the
+    sliding estimate costs O(n).  Standard errors come from re-running
+    the estimator on up to 20 disjoint segments of the same sequence.
+
+    The sequence is drawn one RNG chunk at a time and never held whole:
+    disjoint mode keeps the ``n_blocks`` maxima, sliding mode the
+    ``r*n_blocks - r + 1`` values of ``h`` and the ``r - 1`` draws that
+    open the next chunk's windows.  Every check runs before the draw.
     """
     if mode not in ("disjoint", "sliding"):
         raise ValidationError("mode must be 'disjoint' or 'sliding'")
@@ -620,15 +600,21 @@ def block_maxima_simulate(dist: str, r: int, n_blocks: int, mode: str,
     if not math.isfinite(a_r):
         raise EvaluationError(
             f"the normalizing constant a_r = r**(1/alpha) overflows at r={r}, alpha={alpha:g}")
-    x = draw_iid(rng, r * n_blocks, lambda gen, size: _BASE[dist][0](gen, size, alpha))
+    chunks = iter_chunks(rng, r * n_blocks,
+                         lambda gen, size: _BASE[dist][0](gen, size, alpha))
+
+    def finish(maxima):
+        # Normalized in place, then mapped by h.
+        maxima -= b_r
+        maxima /= a_r
+        return np.asarray(h.evaluate(maxima, gamma), dtype=float)
 
     sliding = mode == "sliding"
-    maxima = sliding_max(x, r) if sliding else x.reshape(n_blocks, r).max(axis=1)
-    del x  # the draw is not read again; held, it would add a sequence to the peak below
-    # Normalized in place: two fewer sequence-sized temporaries at the peak.
-    maxima -= b_r
-    maxima /= a_r
-    values = np.asarray(h.evaluate(maxima, gamma), dtype=float)
+    if sliding:
+        values = _sliding_values(chunks, r, r * n_blocks,
+                                 lambda run: finish(sliding_max(run, r)))
+    else:
+        values = finish(_disjoint_maxima(chunks, r, n_blocks))
     check_moments(h, g, values)
 
     def estimator(seg):

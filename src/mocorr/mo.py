@@ -17,14 +17,14 @@ component and is handy as a calibration family.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .errors import EvaluationError, ValidationError, _check_floats
 from .numerics import _check_range, _pairs
 from .rng import RngStream, draw_iid, iter_chunks
-from .serialize import canonical_json, write_csv
+from .serialize import canonical_json, write_csv_tables
 
 @dataclass(frozen=True)
 class MOParams:
@@ -108,11 +108,12 @@ class PairSample:
 
 @dataclass(frozen=True, eq=False)
 class PairChunks:
-    """A pair sample handed over one RNG chunk at a time, on the copula scale.
+    """A pair sample handed over one RNG chunk at a time.
 
-    ``chunks`` yields, once and in order, the ``(size, 2)`` copula-scale
-    pairs of each chunk of the draw (see :func:`pair_chunks`); the other
-    fields are those of :class:`PairSample`, with ``n`` the total rows.
+    ``chunks`` yields, once and in order, the ``(size, 2)`` pairs of each
+    chunk of the draw: on the copula scale from :func:`pair_chunks`, on the
+    family's own from :func:`sample_chunks`.  The other fields are those of
+    :class:`PairSample`, with ``n`` the total rows.
     """
 
     family: str
@@ -129,14 +130,12 @@ def pair_sample(family: str, p, n: int, rng: RngStream) -> PairSample:
     return PairSample(pairs, family, record.as_dict(p), rng)
 
 
-def pair_chunks(family: str, p, n: int, rng: RngStream) -> PairChunks:
-    """Draw ``n`` pairs of ``family`` at params ``p`` lazily, chunk by chunk.
+def sample_chunks(family: str, p, n: int, rng: RngStream) -> PairChunks:
+    """Draw ``n`` pairs of ``family`` at params ``p`` lazily, on the family's own scale.
 
-    Each chunk comes from the family's per-chunk map, is checked against
-    the family's support as a :class:`PairSample` is, and is mapped onto
-    [0, 1]^2 by its ``to_copula`` where it has one (the binning checks it there).
-    The chunks concatenate to ``to_copula`` of :func:`pair_sample` at the
-    same arguments, bit for bit, but no n-sized array is built.
+    The chunks are those :func:`pair_sample` concatenates, bit for bit, each
+    checked against the family's support as a :class:`PairSample` is when it
+    is drawn; no n-sized array is built.
     """
     record = _family(family)
     params = record.as_dict(p)
@@ -145,9 +144,22 @@ def pair_chunks(family: str, p, n: int, rng: RngStream) -> PairChunks:
     def chunks():
         for pairs in iter_chunks(rng, n, lambda g, size: record.chunk(p, g, size)):
             _check_support(pairs, family, params)
-            yield pairs if record.to_copula is None else record.to_copula(p, pairs)
+            yield pairs
 
     return PairChunks(family, params, rng, n, chunks())
+
+
+def pair_chunks(family: str, p, n: int, rng: RngStream) -> PairChunks:
+    """:func:`sample_chunks` mapped onto [0, 1]^2 by the family's ``to_copula``.
+
+    The chunks concatenate to ``to_copula`` of :func:`pair_sample` at the
+    same arguments, bit for bit (the binning checks them on that scale).
+    """
+    stream = sample_chunks(family, p, n, rng)
+    to_copula = _family(family).to_copula
+    if to_copula is None:
+        return stream
+    return replace(stream, chunks=(to_copula(p, pairs) for pairs in stream.chunks))
 
 
 def _check_support(pairs: np.ndarray, family: str, params: dict) -> None:
@@ -347,18 +359,25 @@ def max_stability_defect(c: CopulaParams, m: int, grid: int = 101, cdf=None) -> 
     return float(np.max(np.abs(direct - rooted)))
 
 
-def write_sample_csv(sample: PairSample, path) -> None:
+def write_sample_csv(sample, path) -> None:
     """Write a pair sample as CSV plus a JSON metadata sidecar.
 
-    The CSV header is ``u,v`` for copula-scale families and ``x1,x2``
-    otherwise; floats are serialized with 17 significant digits so the
-    file is byte-reproducible and lossless.  The sidecar lands next to
-    the CSV as ``<stem>.meta.json``.
+    ``sample`` is a :class:`PairSample`, or the :class:`PairChunks` of
+    :func:`sample_chunks`, written one RNG chunk at a time as it is drawn; a
+    row's bytes do not depend on its chunk.  The CSV header is ``u,v`` for
+    copula-scale families and ``x1,x2`` otherwise; floats are serialized
+    with 17 significant digits so the file is byte-reproducible and
+    lossless.  The CSV goes through a temporary file (see
+    :func:`~mocorr.serialize.write_csv_tables`), so a draw or check that fails part
+    way leaves ``path`` as it was.  The sidecar lands next to the CSV as
+    ``<stem>.meta.json`` once the CSV is in place.
     """
     import pathlib
 
     path = pathlib.Path(path)
-    write_csv(path, "u,v" if sample.copula_scale else "x1,x2", sample.pairs)
+    header = "u,v" if _family(sample.family).to_copula is None else "x1,x2"
+    chunks = getattr(sample, "chunks", None)
+    write_csv_tables(path, header, [sample.pairs] if chunks is None else chunks)
     meta = {
         "family": sample.family,
         "params": sample.params,

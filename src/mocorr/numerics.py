@@ -8,6 +8,10 @@ Pearson's chi-square of bin counts against them, as a z score.
 
 The standard normal cdf and quantile (``ndtr``, ``ndtri``) are numpy
 rational approximations: Cody's ``erfc`` and Wichura's AS241.
+
+The block simulation's kernels work on a sequence handed over in chunks:
+disjoint block maxima, the values of all sliding windows, and the
+rectangular lag-window long-run variance, made a block at a time.
 """
 
 from __future__ import annotations
@@ -437,3 +441,113 @@ def chi2_z(counts, masses) -> float:
     x2 = float(np.sum((observed - expected) ** 2 / expected))
     h = 2.0 / (9.0 * k)
     return ((x2 / k) ** (1.0 / 3.0) - 1.0 + h) / math.sqrt(h)
+
+
+# ---------------------------------------------------------------------------
+# Chunked sequences: block maxima, sliding windows, lag-window variance
+
+
+#: Values per block of :func:`_lag_window_estimate`: its temporaries are a
+#: few blocks, whatever the length of the series.
+_LAG_BLOCK = 1 << 14
+
+
+def _lag_window_estimate(y: np.ndarray, r: int) -> float:
+    """Rectangular lag-window long-run variance of the sliding series.
+
+    ``(1/r) * sum_{|k| < r} chat_k`` equals ``(N/r)`` times the
+    estimated variance of the sliding mean; trapezoid exactness over the
+    overlap grid makes it a consistent estimate of the overlap integral.
+
+    With ``yc`` the centered series and ``w_t = sum_{j=t}^{min(t+r-1, n-1)}
+    yc_j``, ``chat_0 + 2 * sum_{k=1}^{r-1} chat_k = (2 yc.w - yc.yc) / n``,
+    so the running sums ``c_i = sum_{j<i} yc_j`` give it in O(n) time.  It
+    is summed as ``yc.(yc + 2 v) / n`` with ``v_t = w_t - yc_t =
+    c_{t+r} - c_{t+1}`` (``c`` held at its total past ``n``): at ``r = 1``
+    ``v`` is exactly 0 and the result is ``np.var(y)``.  The running sums
+    are made a block of ``t`` at a time, so no n-sized temporary is made:
+    one run of sums spans both ends of each window when ``r`` is at most a
+    block, and two cursors ``r - 1`` apart walk them otherwise.
+    """
+    n = y.size
+    mean = y.mean()
+    step = min(n, _LAG_BLOCK)
+    near = r <= step
+
+    def running(pos, total, k):
+        # c_{pos+1}, ..., c_{pos+k} from total = c_pos.  One add.accumulate
+        # from the carried total gives the values of one cumsum over all of
+        # yc, bit for bit.
+        c = np.empty(k + 1)
+        c[0] = total
+        m = max(0, min(k, n - pos))
+        np.subtract(y[pos:pos + m], mean, out=c[1:m + 1])
+        np.add.accumulate(c[:m + 1], out=c[:m + 1])
+        c[m + 1:] = c[m]
+        return c[1:]
+
+    ahead = 0.0  # c_{r-1}, where the far cursor starts
+    for pos in range(0, 0 if near else r - 1, step):
+        ahead = running(pos, ahead, min(step, r - 1 - pos))[-1]
+    behind = total = 0.0
+    for pos in range(0, n, step):
+        k = min(step, n - pos)
+        if near:
+            c = running(pos, behind, k + r - 1)
+            v = c[r - 1:] - c[:k]
+        else:
+            v = running(pos + r - 1, ahead, k)
+            ahead = v[-1]
+            c = running(pos, behind, k)
+            v -= c
+        behind = c[k - 1]
+        yc = y[pos:pos + k] - mean
+        v *= 2.0
+        v += yc
+        v *= yc
+        total += v.sum()
+    return float(total / n / r)
+
+
+def _disjoint_maxima(chunks, r: int, n_blocks: int) -> np.ndarray:
+    """The maxima of the ``n_blocks`` length-``r`` blocks of the concatenated ``chunks``.
+
+    A block split between chunks is carried as its partial maximum.
+    """
+    maxima = np.empty(n_blocks)
+    done, filled, partial = 0, 0, -np.inf
+    for x in chunks:
+        if filled:
+            head = x[:r - filled]
+            partial = max(partial, head.max())
+            filled += head.size
+            x = x[head.size:]
+            if filled == r:
+                maxima[done] = partial
+                done, filled = done + 1, 0
+        full = x.size // r
+        maxima[done:done + full] = x[:full * r].reshape(full, r).max(axis=1)
+        done += full
+        if x.size > full * r:
+            partial, filled = x[full * r:].max(), x.size - full * r
+    return maxima
+
+
+def _sliding_values(chunks, r: int, n: int, windows) -> np.ndarray:
+    """The ``n - r + 1`` values of all length-``r`` windows of the concatenated
+    ``chunks``, which hold ``n`` values; ``windows(x)`` gives those of the
+    ``x.size - r + 1`` windows of a run ``x``.
+
+    The last ``r - 1`` values of a chunk open the next chunk's windows, so only
+    those values and one chunk are held beside the result.
+    """
+    values = np.empty(n - r + 1)
+    done, tail = 0, np.empty(0)
+    for x in chunks:
+        run = np.concatenate([tail, x]) if tail.size else x
+        if run.size >= r:
+            part = windows(run)
+            values[done:done + part.size] = part
+            done += part.size
+        tail = run[max(0, run.size - (r - 1)):].copy()
+    return values

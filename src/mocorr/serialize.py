@@ -12,6 +12,8 @@ import functools
 import itertools
 import json
 import math
+import os
+import pathlib
 
 import numpy as np
 
@@ -62,8 +64,9 @@ def canonical_json(obj) -> str:
     return _emit(obj, 0)
 
 
-#: Rows per formatted chunk in the CSV writers; bounds the temporaries.
-CSV_CHUNK_ROWS = 16_384
+#: Rows per formatted chunk in the CSV writers; bounds the temporaries
+#: (about 300 bytes a cell) and keeps them in cache.
+CSV_CHUNK_ROWS = 4096
 
 # The CSV kernel lays each cell out as six little-endian 64-bit words, NUL
 # wherever no character goes, and deletes the NULs in one pass at the end:
@@ -177,19 +180,47 @@ def _format_rows(table):
         yield _format_cells(chunk, words[:len(chunk)]).decode("ascii")
 
 
+def _checked(rows) -> np.ndarray:
+    table = np.asarray(rows, dtype=float)
+    if not np.isfinite(table).all():
+        raise ValidationError("cannot format a non-finite float")
+    return table
+
+
 def _csv_chunks(header: str, rows):
     """Check every cell of ``rows`` now, then yield the CSV text lazily: the
     header line, then one string per ``CSV_CHUNK_ROWS`` rows whose cells
     are the bytes of ``"%.17g" % x``."""
-    table = np.asarray(rows, dtype=float)
-    if not np.isfinite(table).all():
-        raise ValidationError("cannot format a non-finite float")
-    return itertools.chain([header + "\n"], _format_rows(table))
+    return itertools.chain([header + "\n"], _format_rows(_checked(rows)))
 
 
 def write_csv(path, header: str, rows) -> None:
     """Write rows of floats as CSV with 17-significant-digit cells, streamed
-    in chunks; a non-finite cell raises before the file is opened."""
-    text = _csv_chunks(header, rows)
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.writelines(text)
+    in chunks; a non-finite cell raises and leaves ``path`` as it was."""
+    write_csv_tables(path, header, [rows])
+
+
+def write_csv_tables(path, header: str, tables) -> None:
+    """Write the rows of each table of the iterable ``tables`` in turn, as
+    :func:`write_csv` writes one; each is checked and formatted as it comes.
+
+    The text goes to a temporary file beside ``path`` (beside its target,
+    for a symlink) that replaces it once all is written.  An error on the
+    way, a non-finite cell among them, removes the temporary file and leaves
+    ``path`` as it was.  A ``path`` that exists but is no regular file, such
+    as a pipe or ``/dev/stdout``, cannot be replaced and is written directly.
+    """
+    path = pathlib.Path(path).resolve()
+    tmp = path if path.exists() and not path.is_file() else \
+        path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="ascii", newline="\n") as fh:
+            fh.write(header + "\n")
+            for rows in tables:
+                fh.writelines(_format_rows(_checked(rows)))
+        if tmp != path:
+            os.replace(tmp, path)
+    except BaseException:
+        if tmp != path:
+            tmp.unlink(missing_ok=True)
+        raise

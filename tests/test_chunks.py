@@ -109,6 +109,11 @@ def test_chunks_concatenate_to_the_copula_scale_sample(family):
     chunks = list(stream.chunks)
     assert len(chunks) == 16
     np.testing.assert_array_equal(np.concatenate(chunks), pairs)
+    native = mo.sample_chunks(family, p, n, rng)
+    assert (native.family, native.params, native.seed, native.n) == \
+        (family, record.as_dict(p), rng, n)
+    np.testing.assert_array_equal(np.concatenate(list(native.chunks)),
+                                  pair_sample(family, p, n, rng).pairs)
 
 
 @pytest.mark.parametrize("family", sorted(PARAMS))
@@ -267,3 +272,34 @@ def test_verify_sampler_check_never_holds_a_whole_draw(monkeypatch):
     assert result == expected
     # One (n, 2) float array alone is n * 16 bytes.
     assert peak < verify.SAMPLER_N * 16, peak
+
+
+@pytest.mark.parametrize("family", sorted(PARAMS))
+def test_sample_writes_the_bytes_of_the_whole_sample(family, tmp_path):
+    # 40,017 pairs: sixteen RNG chunks of 2,501 and 2,500 rows, none a
+    # multiple of the formatter's block.
+    p, n = PARAMS[family], 40_017
+    mo.write_sample_csv(pair_sample(family, p, n, RngStream(19)), tmp_path / "whole.csv")
+    assert main(["sample", "--family", family, *ARGS[family], "-n", str(n), "--seed", "19",
+                 "--out", str(tmp_path / "streamed.csv")]) == 0
+    for suffix in (".csv", ".meta.json"):
+        assert (tmp_path / f"streamed{suffix}").read_bytes() == \
+            (tmp_path / f"whole{suffix}").read_bytes()
+    # No temporary file is left beside them.
+    assert len(list(tmp_path.iterdir())) == 4
+
+
+@pytest.mark.parametrize("family", sorted(PARAMS))
+def test_sample_never_holds_the_whole_sample(family, tmp_path, capsys):
+    n = 200_000
+    argv = ["sample", "--family", family, *ARGS[family], "-n", str(n),
+            "--out", str(tmp_path / "s.csv")]
+    assert main(argv) == 0  # warm-up: imports are not counted
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # One (n, 2) float array alone is n * 16 bytes.
+    assert peak < n * 16, peak

@@ -9,9 +9,9 @@ import sys
 import numpy as np
 import pytest
 
-from mocorr import FAMILIES, extremes, verify
+from mocorr import FAMILIES, extremes, mo, verify
 from mocorr.cli import _family_params, build_parser, main
-from mocorr.errors import ValidationError
+from mocorr.errors import EvaluationError, ValidationError
 from mocorr.families import FAMILY_TABLE
 from mocorr.maxcorr import max_corr_closed, power_corr, PowerIndex
 from mocorr.mo import CopulaParams, PairSample, copula_cdf, pair_sample
@@ -111,6 +111,32 @@ class TestSample:
         assert out == ""
         assert err.startswith("numerical failure: ") and "overflows" in err
         assert not path.exists()
+
+    def test_refused_mid_stream_leaves_out_as_it_was(self, tmp_path, capsys, monkeypatch):
+        # The map of the third RNG chunk fails after two chunks were written.
+        chunk, calls = mo._mo_chunk, []
+
+        def failing(p, g, size):
+            calls.append(size)
+            if len(calls) == 3:
+                raise EvaluationError("chunk 3 overflows")
+            return chunk(p, g, size)
+
+        monkeypatch.setattr(mo, "_mo_chunk", failing)
+        path, sidecar = tmp_path / "x.csv", tmp_path / "x.meta.json"
+        argv = ["sample", "--family", "mo", "--l1", "1", "--l2", "2", "--l12", "1.5",
+                "-n", "100000", "--out", str(path)]
+        assert run_cli(capsys, *argv) == (2, "", "numerical failure: chunk 3 overflows\n")
+        assert len(calls) == 3
+        assert list(tmp_path.iterdir()) == []
+        # A file already at --out, and its sidecar, are left untouched.
+        path.write_bytes(b"x1,x2\n1,2\n")
+        sidecar.write_bytes(b"{}\n")
+        calls.clear()
+        assert run_cli(capsys, *argv)[0] == 2
+        assert len(calls) == 3
+        assert path.read_bytes() == b"x1,x2\n1,2\n" and sidecar.read_bytes() == b"{}\n"
+        assert sorted(tmp_path.iterdir()) == [path, sidecar]
 
     def test_unwritable_out_path(self, tmp_path, capsys):
         code, _, err = run_cli(
@@ -633,6 +659,31 @@ class TestBlocksim:
         estimate = json.loads(out)["estimate"]
         # Nearly Var(max of 10 Exp(1)) * gamma^2 = 1.55e-20.
         assert 1e-20 < estimate < 2.5e-20, estimate
+
+    @pytest.mark.parametrize("sizes, message", [
+        (["--r", "25000001", "--n-blocks", "2"],
+         "sequence length r*n_blocks = 50000002 exceeds the cap 50000000"),
+        (["--r", "10", "--n-blocks", "1"], "n_blocks must be >= 2"),
+    ])
+    def test_sizes_checked_before_the_draw(self, sizes, message, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sequence was drawn")
+
+        monkeypatch.setattr(extremes, "iter_chunks", refuse)
+        for mode in ("disjoint", "sliding", "both"):
+            code, out, err = run_cli(capsys, "blocksim", "--dist", "exp", *sizes,
+                                     "--mode", mode)
+            assert (code, out) == (1, "")
+            assert message in err
+
+    def test_smallest_sizes(self, capsys):
+        # One draw per block and two blocks, under the suite's RuntimeWarning filter.
+        code, out, _ = run_cli(capsys, "blocksim", "--dist", "exp", "--r", "1",
+                               "--n-blocks", "2", "--mode", "both")
+        assert code == 0
+        payload = json.loads(out)
+        for mode in ("disjoint", "sliding"):
+            assert payload[mode]["se"] is None and math.isfinite(payload[mode]["estimate"])
 
     def test_pareto_requires_alpha(self, capsys):
         code, _, err = run_cli(

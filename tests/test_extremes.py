@@ -1,5 +1,6 @@
 import decimal
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -35,7 +36,7 @@ from mocorr.extremes import (
 from mocorr.maxcorr import estimate_max_corr
 from mocorr.mo import PairSample, copula_pair_from_uniforms
 from mocorr.numerics import QuadratureSpec
-from mocorr.rng import RngStream, draw_iid, draw_uniforms
+from mocorr.rng import RngStream, chunk_sizes, draw_iid, draw_uniforms
 
 GUMBEL_VAR = math.pi ** 2 / 6.0
 
@@ -668,18 +669,27 @@ class TestBlockSimulation:
         assert payload["h"]["name"] == "log_transform"
         assert payload["seed"] == {"seed": 103, "stream_id": 0}
 
-    def test_sliding_peak_holds_no_dead_draw(self):
-        # The draw is dropped once its maxima exist: the lag window's three
-        # sequence-sized arrays and the maxima are what remain at the peak.
+    @staticmethod
+    def _peak(mode):
         r, n_blocks = 100, 2000
         tracemalloc.start()
         try:
-            block_maxima_simulate("exp", r, n_blocks, "sliding", Functional("identity"),
+            block_maxima_simulate("exp", r, n_blocks, mode, Functional("identity"),
                                   RngStream(108))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 4.5 * 8 * r * n_blocks
+        return peak / (8 * r * n_blocks)
+
+    def test_sliding_peak_holds_no_dead_draw(self):
+        # The draw is never held: the values of h, the moment guard's one
+        # centered copy of them and a chunk's worth of draws and lag-window
+        # blocks are what remain at the peak.
+        assert self._peak("sliding") < 2.5
+
+    def test_disjoint_peak_holds_one_chunk(self):
+        # One RNG chunk (a sixteenth of the draw) and the block maxima.
+        assert self._peak("disjoint") < 0.5
 
     @pytest.mark.parametrize("mode", ["disjoint", "sliding"])
     @pytest.mark.parametrize("r", [1, 5])
@@ -694,3 +704,127 @@ class TestBlockSimulation:
                                        Functional("identity"), RngStream(107))
         assert result.segments >= 2
         assert math.isfinite(result.se)
+
+
+def _cumsum_lag_window(y, r):
+    """The lag-window estimate over whole-sequence arrays: one cumsum ``c``
+    of the centered series and the window sums ``v`` read off it."""
+    n = y.size
+    yc = y - y.mean()
+    c = np.empty(n + r)
+    c[0] = 0.0
+    np.cumsum(yc, out=c[1:n + 1])
+    c[n + 1:] = c[n]
+    v = c[r:r + n] - c[1:n + 1]
+    v *= 2.0
+    v += yc
+    v *= yc
+    return float(v.sum() / n / r)
+
+
+def _whole_array_maxima(dist, r, n_blocks, mode, rng, alpha):
+    """The normalized block maxima from the whole sequence, drawn at once."""
+    _, a_r, b_r = doa_scaling(dist, r, alpha)
+    x = draw_iid(rng, r * n_blocks,
+                 lambda gen, size: extremes._BASE[dist][0](gen, size, alpha))
+    maxima = sliding_max(x, r) if mode == "sliding" else x.reshape(n_blocks, r).max(axis=1)
+    maxima -= b_r
+    maxima /= a_r
+    return maxima
+
+
+def _whole_array_estimate(maxima, dist, r, n_blocks, mode, h, alpha):
+    """``(estimate, se, segments)`` of block_maxima_simulate from the whole
+    array of maxima, the oracle, and the variance of the values of ``h``."""
+    gamma = doa_scaling(dist, r, alpha)[0]
+    values = np.asarray(h.evaluate(maxima.copy(), gamma), dtype=float)
+    check_moments(h, GEVShape(gamma), values)
+    sliding = mode == "sliding"
+
+    def estimator(seg):
+        return _cumsum_lag_window(seg, r) if sliding else float(np.var(seg, ddof=1))
+
+    k = min(20, values.size // (2 * r) if sliding else n_blocks // 2)
+    se = float("nan")
+    if k >= 2:
+        parts = [estimator(seg) for seg in np.array_split(values, k)]
+        se = float(np.std(parts, ddof=1) / math.sqrt(k))
+    return (estimator(values), se, k), float(np.var(values))
+
+
+class TestStreamedSimulation:
+    """The chunk-streamed simulation against the whole-array one."""
+
+    #: Bound on the change of a sliding estimate or SE, relative to the larger
+    #: of it and the variance of the values of h: the lag window sums its
+    #: terms block by block instead of in one pairwise sum, and the terms
+    #: are of the variance's size.  At 2 or 3 blocks the estimate is a
+    #: difference of such terms that nearly cancels, so only that scale holds.
+    SLIDING_RTOL = 1e-14
+
+    #: Thresholds at which each base distribution's indicator is not constant.
+    THRESHOLD = {"exp": 0.5, "gumbel": 0.5, "pareto": 1.0, "uniform": -0.7}
+
+    ALPHA = 10.0  # gamma = 0.1: every functional keeps a fourth moment
+
+    SIZES = [(r, n_blocks) for r in (1, 5, 999, 1000, 1001, 70001) for n_blocks in (2, 3, 2000)
+             if r * n_blocks <= 1_000_000 or n_blocks == 2000 and r < 70001]
+
+    def _functionals(self, dist, r, n_blocks):
+        """Every functional; above 1e6 draws two per distribution in turn,
+        which still takes each functional to each of those sizes."""
+        names = extremes.FUNCTIONAL_NAMES
+        if r * n_blocks > 1_000_000:
+            first = 2 * DISTRIBUTIONS.index(dist) + r
+            names = [names[first % len(names)], names[(first + 1) % len(names)]]
+        return [Functional("indicator", self.THRESHOLD[dist]) if name == "indicator"
+                else Functional(name) for name in names]
+
+    @pytest.mark.parametrize("mode", ["disjoint", "sliding"])
+    @pytest.mark.parametrize("r,n_blocks", SIZES)
+    @pytest.mark.parametrize("dist", DISTRIBUTIONS)
+    def test_matches_the_whole_array_simulation(self, dist, r, n_blocks, mode):
+        rng = RngStream(110)
+        alpha = self.ALPHA if dist == "pareto" else None
+        maxima = _whole_array_maxima(dist, r, n_blocks, mode, rng, alpha)
+        for h in self._functionals(dist, r, n_blocks):
+            try:
+                expected, scale = _whole_array_estimate(maxima, dist, r, n_blocks, mode, h,
+                                                        alpha)
+            except DivergentMomentError as exc:
+                with pytest.raises(DivergentMomentError, match=re.escape(str(exc))):
+                    block_maxima_simulate(dist, r, n_blocks, mode, h, rng, alpha=alpha)
+                continue
+            result = block_maxima_simulate(dist, r, n_blocks, mode, h, rng, alpha=alpha)
+            got = (result.estimate, result.se, result.segments)
+            if mode == "disjoint":
+                np.testing.assert_array_equal(got, expected, err_msg=h.name)
+            else:
+                assert got[2] == expected[2]
+                for new, old in zip(got[:2], expected[:2]):
+                    assert new == old or math.isnan(new) and math.isnan(old) or \
+                        abs(new - old) <= self.SLIDING_RTOL * max(abs(old), scale), \
+                        (h.name, new, old, scale)
+
+    def test_a_block_longer_than_a_chunk(self):
+        # r = 70001 with 3 blocks: each block spans several RNG chunks, so the
+        # partial maximum and the sliding carry cross more than one chunk.
+        r, n_blocks = 70_001, 3
+        assert max(chunk_sizes(r * n_blocks)) < r
+        self.test_matches_the_whole_array_simulation("uniform", r, n_blocks, "disjoint")
+        self.test_matches_the_whole_array_simulation("uniform", r, n_blocks, "sliding")
+
+    def test_checks_run_before_the_draw(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the sequence was drawn")
+
+        monkeypatch.setattr(extremes, "iter_chunks", refuse)
+        with pytest.raises(ValidationError, match="exceeds the cap"):
+            block_maxima_simulate("exp", 25_000_001, 2, "sliding", Functional("identity"),
+                                  RngStream(1))
+        with pytest.raises(ValidationError, match="n_blocks must be >= 2"):
+            block_maxima_simulate("exp", 10, 1, "disjoint", Functional("identity"),
+                                  RngStream(1))
+        with pytest.raises(DivergentMomentError):
+            block_maxima_simulate("pareto", 10, 10, "sliding", Functional("square"),
+                                  RngStream(1), alpha=2.0)

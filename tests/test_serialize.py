@@ -1,6 +1,9 @@
 """The streaming CSV writer against the per-row formatter it replaced."""
 
 import math
+import os
+import stat
+import threading
 
 import numpy as np
 import pytest
@@ -20,7 +23,7 @@ from mocorr.mo import (
     write_sample_csv,
 )
 from mocorr.rng import RngStream
-from mocorr.serialize import CSV_CHUNK_ROWS, _csv_chunks, write_csv
+from mocorr.serialize import CSV_CHUNK_ROWS, _csv_chunks, write_csv, write_csv_tables
 
 
 def per_row_csv(header: str, rows) -> bytes:
@@ -47,10 +50,8 @@ EDGE_VALUES = [0.0, -0.0, 1.0, 5e-324, 2.2250738585072014e-308, 1e-4, 1e-5,
                1e16, 1e17, -3.5]
 
 
-# One chunk's edges, and those of a table of four whole chunks.
-@pytest.mark.parametrize("n", [1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1,
-                               4 * CSV_CHUNK_ROWS - 1, 4 * CSV_CHUNK_ROWS,
-                               4 * CSV_CHUNK_ROWS + 1])
+# One chunk's edges, and those of tables of four and of sixteen whole chunks.
+@pytest.mark.parametrize("n", [1] + [k * CSV_CHUNK_ROWS + d for k in (1, 4, 16) for d in (-1, 0, 1)])
 @pytest.mark.parametrize("family", sorted(SAMPLERS))
 def test_samples_match_per_row_writer(tmp_path, family, n):
     sample = SAMPLERS[family](n, RngStream(90))
@@ -89,6 +90,39 @@ def test_non_finite_leaves_no_file(tmp_path, bad):
     with pytest.raises(ValidationError, match="non-finite"):
         write_csv(path, "u,v", rows)
     assert not path.exists()
+
+
+def test_a_failed_write_leaves_the_old_file(tmp_path):
+    path = tmp_path / "old.csv"
+    path.write_bytes(b"u,v\n1,2\n")
+    tables = (np.full((3, 2), x) for x in (0.5, math.nan))
+    with pytest.raises(ValidationError, match="non-finite"):
+        write_csv_tables(path, "u,v", tables)
+    assert path.read_bytes() == b"u,v\n1,2\n"
+    assert list(tmp_path.iterdir()) == [path]
+    write_csv_tables(path, "u,v", (np.full((1, 2), x) for x in (0.5, 0.25)))
+    assert path.read_bytes() == b"u,v\n0.5,0.5\n0.25,0.25\n"
+
+
+def test_a_symlink_keeps_pointing_at_the_new_file(tmp_path):
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_bytes(b"old\n")
+    link.symlink_to(target)
+    write_csv(link, "x", [[1.5]])
+    assert link.is_symlink() and target.read_bytes() == b"x\n1.5\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_a_pipe_is_written_not_replaced(tmp_path):
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(pipe.read_bytes()), daemon=True)
+    reader.start()
+    write_csv(pipe, "x", [[1.5], [2.0]])
+    reader.join(timeout=10)
+    assert received == [b"x\n1.5\n2\n"]
+    assert stat.S_ISFIFO(os.stat(pipe).st_mode)
 
 
 # ---------------------------------------------------------------------------
