@@ -465,14 +465,12 @@ def _lag_window_estimate(y: np.ndarray, r: int) -> float:
     is summed as ``yc.(yc + 2 v) / n`` with ``v_t = w_t - yc_t =
     c_{t+r} - c_{t+1}`` (``c`` held at its total past ``n``): at ``r = 1``
     ``v`` is exactly 0 and the result is ``np.var(y)``.  The running sums
-    are made a block of ``t`` at a time, so no n-sized temporary is made:
-    one run of sums spans both ends of each window when ``r`` is at most a
-    block, and two cursors ``r - 1`` apart walk them otherwise.
+    are made a block of ``t`` at a time by two cursors ``r - 1`` apart, so
+    no n-sized temporary is made.
     """
     n = y.size
     mean = y.mean()
     step = min(n, _LAG_BLOCK)
-    near = r <= step
 
     def running(pos, total, k):
         # c_{pos+1}, ..., c_{pos+k} from total = c_pos.  One add.accumulate
@@ -487,20 +485,16 @@ def _lag_window_estimate(y: np.ndarray, r: int) -> float:
         return c[1:]
 
     ahead = 0.0  # c_{r-1}, where the far cursor starts
-    for pos in range(0, 0 if near else r - 1, step):
+    for pos in range(0, r - 1, step):
         ahead = running(pos, ahead, min(step, r - 1 - pos))[-1]
     behind = total = 0.0
     for pos in range(0, n, step):
         k = min(step, n - pos)
-        if near:
-            c = running(pos, behind, k + r - 1)
-            v = c[r - 1:] - c[:k]
-        else:
-            v = running(pos + r - 1, ahead, k)
-            ahead = v[-1]
-            c = running(pos, behind, k)
-            v -= c
-        behind = c[k - 1]
+        v = running(pos + r - 1, ahead, k)
+        ahead = v[-1]
+        c = running(pos, behind, k)
+        v -= c
+        behind = c[-1]
         yc = y[pos:pos + k] - mean
         v *= 2.0
         v += yc

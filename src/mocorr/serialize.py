@@ -207,20 +207,28 @@ def write_csv_tables(path, header: str, tables) -> None:
     The text goes to a temporary file beside ``path`` (beside its target,
     for a symlink) that replaces it once all is written.  An error on the
     way, a non-finite cell among them, removes the temporary file and leaves
-    ``path`` as it was.  A ``path`` that exists but is no regular file, such
-    as a pipe or ``/dev/stdout``, cannot be replaced and is written directly.
+    ``path`` as it was; an ``OSError`` names ``path``, not the temporary
+    file.  A ``path`` that exists but is no regular file, such as a pipe or
+    ``/dev/stdout``, cannot be replaced and is written directly.
     """
-    path = pathlib.Path(path).resolve()
-    tmp = path if path.exists() and not path.is_file() else \
-        path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="ascii", newline="\n") as fh:
+            _write_tables(fh, header, tables)
+        return
+    target = pathlib.Path(path).resolve()
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(header + "\n")
-            for rows in tables:
-                fh.writelines(_format_rows(_checked(rows)))
-        if tmp != path:
-            os.replace(tmp, path)
-    except BaseException:
-        if tmp != path:
-            tmp.unlink(missing_ok=True)
+            _write_tables(fh, header, tables)
+        os.replace(tmp, target)
+    except BaseException as exc:
+        tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename == str(tmp):
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise
+
+
+def _write_tables(fh, header: str, tables) -> None:
+    fh.write(header + "\n")
+    for rows in tables:
+        fh.writelines(_format_rows(_checked(rows)))

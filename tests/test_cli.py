@@ -139,11 +139,13 @@ class TestSample:
         assert sorted(tmp_path.iterdir()) == [path, sidecar]
 
     def test_unwritable_out_path(self, tmp_path, capsys):
+        out = str(tmp_path / "missing" / "x.csv")
         code, _, err = run_cli(
             capsys, "sample", "--family", "copula", "--phi", "0.5", "--psi",
-            "0.5", "-n", "10", "--out", str(tmp_path / "missing" / "x.csv"))
+            "0.5", "-n", "10", "--out", out)
         assert code == 1
         assert "error" in err
+        assert repr(out) in err and ".tmp" not in err
 
 
 class TestCdfEval:

@@ -125,6 +125,31 @@ def test_a_pipe_is_written_not_replaced(tmp_path):
     assert stat.S_ISFIFO(os.stat(pipe).st_mode)
 
 
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+def test_an_anonymous_pipe_is_written_through_dev_fd():
+    # /dev/fd/N of a pipe resolves to no path, so it must be opened as given.
+    r, w = os.pipe()
+    try:
+        write_csv(f"/dev/fd/{w}", "x", [[1.5], [2.0]])
+        os.close(w)
+        w = None
+        with os.fdopen(r, "rb") as fh:
+            r = None
+            assert fh.read() == b"x\n1.5\n2\n"
+    finally:
+        for fd in (r, w):
+            if fd is not None:
+                os.close(fd)
+
+
+def test_an_os_error_names_the_path_not_the_temporary_file(tmp_path):
+    path = tmp_path / "missing" / "x.csv"
+    with pytest.raises(FileNotFoundError) as info:
+        write_csv(path, "x", [[1.5]])
+    assert info.value.filename == str(path)
+    assert not (tmp_path / "missing").exists()
+
+
 # ---------------------------------------------------------------------------
 # The vectorized cell kernel is exact: every finite double prints as "%.17g".
 
