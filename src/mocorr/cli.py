@@ -25,9 +25,8 @@ import numpy as np
 from . import extremes, maxcorr, mo, verify
 from .errors import DivergentMomentError, EvaluationError, ValidationError
 from .families import FAMILY_TABLE
-from .numerics import QuadratureSpec
 from .rng import DEFAULT_SEED, RngStream
-from .serialize import _csv_chunks, canonical_json, write_csv
+from .serialize import canonical_json, csv_text, write_text
 
 
 class _Parser(argparse.ArgumentParser):
@@ -76,19 +75,7 @@ def _functional(args: argparse.Namespace) -> extremes.Functional:
 
 
 def _emit(report: dict, out: str | None) -> None:
-    text = canonical_json(report) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
-def _emit_csv(header: str, rows, out: str | None) -> None:
-    if out is None:
-        sys.stdout.writelines(_csv_chunks(header, rows))
-    else:
-        write_csv(out, header, rows)
+    write_text(out, [canonical_json(report) + "\n"])
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
@@ -108,15 +95,12 @@ def cmd_cdf_eval(args: argparse.Namespace) -> int:
         raise ValidationError("cdf-eval requires at least one --at U V point")
     points = np.asarray(args.at, dtype=float)
     values = family.cdf(params, points[:, 0], points[:, 1])
-    rows = [
-        {"u": float(u), "v": float(v), "value": float(c)}
-        for (u, v), c in zip(points, values)
-    ]
     if args.format == "csv":
-        _emit_csv("u,v,value", [(r["u"], r["v"], r["value"]) for r in rows], args.out)
-    else:
-        _emit({"family": args.family, "params": family.as_dict(params), "points": rows},
-              args.out)
+        write_text(args.out, csv_text("u,v,value", [np.column_stack([points, values])]))
+        return 0
+    rows = [{"u": float(u), "v": float(v), "value": float(c)}
+            for (u, v), c in zip(points, values)]
+    _emit({"family": args.family, "params": family.as_dict(params), "points": rows}, args.out)
     return 0
 
 
@@ -151,7 +135,6 @@ def cmd_maxcorr(args: argparse.Namespace) -> int:
 def cmd_variance(args: argparse.Namespace) -> int:
     h = _functional(args)
     g = extremes.GEVShape(args.gamma)
-    quad = QuadratureSpec(args.zeta_nodes, 1)
     # The block-simulation flags are checked before any Monte Carlo runs.
     if args.blocksim_dist is not None:
         if args.format == "csv":
@@ -167,14 +150,14 @@ def cmd_variance(args: argparse.Namespace) -> int:
             raise ValidationError(
                 f"--blocksim-dist {args.blocksim_dist} has shape {gamma_dist:g}, "
                 f"which contradicts --gamma {args.gamma:g}")
-    report = extremes.sigma2_sb(h, g, quad, args.n_mc, RngStream(args.seed))
+    report = extremes.sigma2_sb(h, g, args.zeta_nodes, args.n_mc, RngStream(args.seed))
     payload = report.to_report()
     if args.blocksim_dist is not None:
         payload["block_simulation"] = _simulate(
             args.blocksim_dist, args.blocksim_r, args.blocksim_blocks,
             ("disjoint", "sliding"), h, RngStream(args.seed, stream_id=1), args.alpha)
     if args.format == "csv":
-        _emit_csv("zeta,cov,se", report.per_zeta, args.out)
+        write_text(args.out, csv_text("zeta,cov,se", [report.per_zeta]))
     else:
         _emit(payload, args.out)
     if report.degenerate:

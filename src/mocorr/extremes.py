@@ -27,9 +27,6 @@ from .numerics import (QuadratureSpec, _check_range, _disjoint_maxima, _lag_wind
                        _sliding_values)
 from .rng import RngStream, draw_uniforms, iter_chunks
 
-#: Default rule for the overlap integral.
-DEFAULT_ZETA_QUAD = QuadratureSpec(32, 1)
-
 #: Sequence-length cap for the block simulator.  The sequence is drawn in
 #: chunks, but sliding mode holds one value of ``h`` per window, so this
 #: bounds that array (doubles, ~400 MB) and the run time.
@@ -230,16 +227,18 @@ def check_moments(h: Functional, g: GEVShape, values: np.ndarray | None = None) 
     if values is None:
         return
     values = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(values)):
+    low, high = (values.min(), values.max()) if values.size else (0.0, 0.0)
+    if not np.isfinite((low, high)).all():
         raise DivergentMomentError(
             f"h={h.name} produced non-finite values at gamma={g.gamma}"
         )
     if values.size >= 10_000:
-        centered = values - values.mean()
-        centered *= centered
-        centered *= centered
-        total = centered.sum()
-        if total > 0 and centered.max() / total > 0.5:
+        # The largest term from the extremes, the sum by blocks: no copy.
+        mean, total = values.mean(), 0.0
+        top = np.square(np.square(max(high - mean, mean - low)))
+        for i in range(0, values.size, 1 << 14):
+            total += np.square(np.square(values[i:i + (1 << 14)] - mean)).sum()
+        if total > 0 and top / total > 0.5:
             raise DivergentMomentError(
                 f"running fourth moment of h={h.name} blows up at gamma={g.gamma}: "
                 "a single term dominates the sum"
@@ -361,9 +360,9 @@ def limit_pair_corr(h: Functional, g: GEVShape, z: ZetaOverlap,
     return corr, se
 
 
-def sigma2_sb(h: Functional, g: GEVShape, zeta_quad: QuadratureSpec = DEFAULT_ZETA_QUAD,
-              n_mc: int = 200_000, rng: RngStream | None = None) -> VarianceReport:
-    """Sliding-blocks variance ``2 * int_0^1 Cov dzeta`` via quadrature.
+def sigma2_sb(h: Functional, g: GEVShape, zeta_nodes: int = 32, n_mc: int = 200_000,
+              rng: RngStream | None = None) -> VarianceReport:
+    """Sliding-blocks variance ``2 * int_0^1 Cov dzeta`` on ``zeta_nodes`` Gauss-Legendre nodes.
 
     All overlap nodes reuse one set of underlying uniforms (common
     random numbers), so the integrand is smooth in ``zeta`` and the
@@ -373,12 +372,12 @@ def sigma2_sb(h: Functional, g: GEVShape, zeta_quad: QuadratureSpec = DEFAULT_ZE
     :class:`EvaluationError` when a variance comes out negative or
     non-finite.
     """
+    nodes, weights = QuadratureSpec(zeta_nodes, 1).axis_nodes()
     if rng is None:
         raise ValidationError("sigma2_sb requires an RngStream")
     check_moments(h, g)
     db, db_se = sigma2_db(h, g, int(n_mc), rng.child(1))
     gumbel = _to_gumbel(draw_uniforms(rng.child(0), int(n_mc), 3))
-    nodes, weights = zeta_quad.axis_nodes()
     curve = []
     total = 0.0
     total_se = 0.0

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import EvaluationError, ValidationError, _check_floats
 from .numerics import _check_range, _pairs
 from .rng import RngStream, draw_iid, iter_chunks
-from .serialize import canonical_json, write_csv_tables
+from .serialize import canonical_json, csv_text, write_text
 
 @dataclass(frozen=True)
 class MOParams:
@@ -367,22 +367,21 @@ def write_sample_csv(sample, path) -> None:
     row's bytes do not depend on its chunk.  The CSV header is ``u,v`` for
     copula-scale families and ``x1,x2`` otherwise; floats are serialized
     with 17 significant digits so the file is byte-reproducible and
-    lossless.  The CSV goes through a temporary file (see
-    :func:`~mocorr.serialize.write_csv_tables`), so a draw or check that fails part
-    way leaves ``path`` as it was.  The sidecar lands next to the CSV as
-    ``<stem>.meta.json`` once the CSV is in place.
+    lossless.  Both files go through :func:`~mocorr.serialize.write_text`,
+    the CSV first, so a draw or check that fails part way leaves ``path`` as
+    it was.  The sidecar lands next to the CSV as ``<stem>.meta.json`` once
+    the CSV is in place.
     """
     import pathlib
 
     path = pathlib.Path(path)
     header = "u,v" if _family(sample.family).to_copula is None else "x1,x2"
     chunks = getattr(sample, "chunks", None)
-    write_csv_tables(path, header, [sample.pairs] if chunks is None else chunks)
+    write_text(path, csv_text(header, [sample.pairs] if chunks is None else chunks))
     meta = {
         "family": sample.family,
         "params": sample.params,
         "n": sample.n,
         "seed": asdict(sample.seed) if sample.seed is not None else None,
     }
-    sidecar = path.with_name(path.stem + ".meta.json")
-    sidecar.write_text(canonical_json(meta) + "\n", encoding="ascii", newline="\n")
+    write_text(path.with_name(path.stem + ".meta.json"), [canonical_json(meta) + "\n"])

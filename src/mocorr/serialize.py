@@ -9,11 +9,11 @@ keys, so identical inputs always produce identical bytes.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 import os
 import pathlib
+import sys
 
 import numpy as np
 
@@ -64,7 +64,7 @@ def canonical_json(obj) -> str:
     return _emit(obj, 0)
 
 
-#: Rows per formatted chunk in the CSV writers; bounds the temporaries
+#: Rows per formatted chunk of :func:`csv_text`; bounds the temporaries
 #: (about 300 bytes a cell) and keeps them in cache.
 CSV_CHUNK_ROWS = 4096
 
@@ -187,48 +187,50 @@ def _checked(rows) -> np.ndarray:
     return table
 
 
-def _csv_chunks(header: str, rows):
-    """Check every cell of ``rows`` now, then yield the CSV text lazily: the
-    header line, then one string per ``CSV_CHUNK_ROWS`` rows whose cells
-    are the bytes of ``"%.17g" % x``."""
-    return itertools.chain([header + "\n"], _format_rows(_checked(rows)))
+def csv_text(header: str, tables):
+    """Yield CSV text: the ``header`` line, then the rows of each table of the
+    iterable ``tables`` in turn, ``CSV_CHUNK_ROWS`` at a time, each cell the
+    bytes of ``"%.17g" % x``.
 
-
-def write_csv(path, header: str, rows) -> None:
-    """Write rows of floats as CSV with 17-significant-digit cells, streamed
-    in chunks; a non-finite cell raises and leaves ``path`` as it was."""
-    write_csv_tables(path, header, [rows])
-
-
-def write_csv_tables(path, header: str, tables) -> None:
-    """Write the rows of each table of the iterable ``tables`` in turn, as
-    :func:`write_csv` writes one; each is checked and formatted as it comes.
-
-    The text goes to a temporary file beside ``path`` (beside its target,
-    for a symlink) that replaces it once all is written.  An error on the
-    way, a non-finite cell among them, removes the temporary file and leaves
-    ``path`` as it was; an ``OSError`` names ``path``, not the temporary
-    file.  A ``path`` that exists but is no regular file, such as a pipe or
-    ``/dev/stdout``, cannot be replaced and is written directly.
+    Each table is checked when it comes, before any of its text is yielded,
+    and the header goes out with the first chunk, so a non-finite cell in the
+    first table raises before anything is yielded.
     """
-    if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            _write_tables(fh, header, tables)
+    head = header + "\n"
+    for rows in tables:
+        for chunk in _format_rows(_checked(rows)):
+            yield head + chunk
+            head = ""
+    if head:
+        yield head
+
+
+def write_text(out, parts) -> None:
+    """Write the strings of the iterable ``parts`` to ``out``, or to stdout
+    when ``out`` is None.
+
+    The text goes to a temporary file beside ``out`` (beside its target, for
+    a symlink) that replaces it once all is written.  An error on the way, a
+    non-finite CSV cell among them, removes the temporary file and leaves
+    ``out`` as it was; an ``OSError`` names ``out``, not the temporary file.
+    An ``out`` that exists but is no regular file, such as a pipe or
+    ``/dev/stdout``, cannot be replaced and is written in place.
+    """
+    if out is None:
+        sys.stdout.writelines(parts)
         return
-    target = pathlib.Path(path).resolve()
+    if os.path.exists(out) and not os.path.isfile(out):
+        with open(out, "w", encoding="ascii", newline="\n") as fh:
+            fh.writelines(parts)
+        return
+    target = pathlib.Path(out).resolve()
     tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="ascii", newline="\n") as fh:
-            _write_tables(fh, header, tables)
+            fh.writelines(parts)
         os.replace(tmp, target)
     except BaseException as exc:
         tmp.unlink(missing_ok=True)
         if isinstance(exc, OSError) and exc.filename == str(tmp):
-            raise OSError(exc.errno, exc.strerror, str(path)) from exc
+            raise OSError(exc.errno, exc.strerror, str(out)) from exc
         raise
-
-
-def _write_tables(fh, header: str, tables) -> None:
-    fh.write(header + "\n")
-    for rows in tables:
-        fh.writelines(_format_rows(_checked(rows)))

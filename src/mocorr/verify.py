@@ -157,7 +157,7 @@ def sampler_z(name: str, p, pairs) -> float:
 
 
 def check_sampler_chi2(sizes: BatterySizes, rng: RngStream) -> CheckResult:
-    """Each sampler against its own cdf's cell masses, plus the shock pairs' copula."""
+    """Each sampler against its own cdf's cell masses."""
     gen = rng.generator()
     scores = []
     for i, (name, draw) in enumerate(_SAMPLER_CASES * SAMPLER_DRAWS):
@@ -166,10 +166,6 @@ def check_sampler_chi2(sizes: BatterySizes, rng: RngStream) -> CheckResult:
         label = family.as_dict(p)
         chunks = mo.pair_chunks(name, p, SAMPLER_N, rng.child(i))
         scores.append((sampler_z(name, p, chunks), f"{name}{label}"))
-        if name == "mo":
-            # The same draw again: through the marginal survivals it follows the survival copula.
-            chunks = mo.pair_chunks(name, p, SAMPLER_N, rng.child(i))
-            scores.append((sampler_z("copula", mo.mo_to_copula(p), chunks), f"mo->copula{label}"))
     worst, worst_name = max(scores)
     return CheckResult("sampler-chi2", worst <= 4.0,
                        f"worst chi2 z {worst:.2f} ({worst_name}) vs 4")
@@ -251,7 +247,6 @@ def check_gaussian_oracle(sizes: BatterySizes, rng: RngStream) -> CheckResult:
 
 def check_variance_inequality(sizes: BatterySizes, rng: RngStream) -> CheckResult:
     """sigma2_sb <= sigma2_db within MC noise for two functionals."""
-    quad = QuadratureSpec(sizes.zeta_nodes, 1)
     worst = -np.inf
     heavy = extremes.GEVShape(0.5)
     cases = [
@@ -259,7 +254,7 @@ def check_variance_inequality(sizes: BatterySizes, rng: RngStream) -> CheckResul
         (extremes.Functional("indicator", threshold=extremes.gev_quantile(heavy, 0.9)), heavy),
     ]
     for i, (h, g) in enumerate(cases):
-        report = extremes.sigma2_sb(h, g, quad, sizes.var_n_mc, rng.child(i))
+        report = extremes.sigma2_sb(h, g, sizes.zeta_nodes, sizes.var_n_mc, rng.child(i))
         worst = max(worst, report.inequality_excess)
     return CheckResult("variance-inequality", worst <= 0.0,
                        f"max (sb - db - 3se) = {worst:.3e}")

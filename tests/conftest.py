@@ -1,3 +1,6 @@
+import errno
+import os
+
 from hypothesis import HealthCheck, settings
 
 from mocorr import verify
@@ -36,3 +39,17 @@ def sampler_z(sample, family, p):
     if record.to_copula is not None:
         pairs = record.to_copula(p, pairs)
     return verify.sampler_z(family, p, pairs)
+
+
+def refuse_replace(monkeypatch, refused=lambda dst: True):
+    """Make ``os.replace`` fail, as a rename onto a read-only target does,
+    for each destination ``refused`` picks."""
+    replace = os.replace
+
+    def refuse(src, dst):
+        if refused(str(dst)):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(src), None,
+                                  str(dst))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", refuse)

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import errno
 import io
 import json
 import math
@@ -9,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import refuse_replace
 from mocorr import FAMILIES, extremes, mo, verify
 from mocorr.cli import _family_params, build_parser, main
 from mocorr.errors import EvaluationError, ValidationError
@@ -729,6 +731,61 @@ class TestVerify:
         for seed in range(1, 41):
             result = verify.check_sampler_chi2(verify.QUICK_SIZES, RngStream(seed).child(1003))
             assert result.passed, (seed, result.detail)
+
+
+COPULA = ["--family", "copula", "--phi", "0.3", "--psi", "0.7"]
+
+
+class TestOut:
+    """Every output reaches stdout or ``--out`` through the one writer."""
+
+    @pytest.mark.parametrize("argv", [
+        ["maxcorr", *COPULA, "-n", "20000", "--m", "16"],
+        ["corr", *COPULA, "--k", "2"],
+        ["blocksim", "--dist", "exp", "--r", "10", "--n-blocks", "50"],
+        ["verify", "--quick", "--seed", "5"],
+    ], ids=lambda argv: argv[0])
+    def test_stdout_bytes_equal_out_bytes(self, argv, tmp_path, capsys):
+        # TestCdfEval and TestVariance compare the --format csv forms.
+        code, out, err = run_cli(capsys, *argv)
+        path = tmp_path / "out"
+        path.write_bytes(b"an older, longer output\n" * 10_000)
+        assert run_cli(capsys, *argv, "--out", str(path)) == (code, "", err)
+        assert path.read_bytes() == out.encode("ascii") and out
+
+    def test_a_failed_replace_keeps_a_json_out(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "corr.json"
+        path.write_bytes(b"{}\n")
+        refuse_replace(monkeypatch)
+        code, out, err = run_cli(capsys, "corr", *COPULA, "--k", "2", "--out", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: [Errno {errno.EACCES}] Permission denied: {str(path)!r}\n"
+        assert path.read_bytes() == b"{}\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("refused", ["x.csv", "x.meta.json"])
+    def test_a_failed_replace_keeps_the_sample_files(self, refused, tmp_path, capsys,
+                                                     monkeypatch):
+        # The CSV is written first, then its sidecar: each is kept when its
+        # own replace fails, and a refused CSV stops the sidecar.
+        path, sidecar = tmp_path / "x.csv", tmp_path / "x.meta.json"
+        path.write_bytes(b"u,v\n1,2\n")
+        sidecar.write_bytes(b"{}\n")
+        refuse_replace(monkeypatch, lambda dst: dst.endswith(refused))
+        argv = ["sample", *COPULA, "-n", "10", "--out", str(path)]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: [Errno {errno.EACCES}] Permission denied: " \
+                      f"{str(tmp_path / refused)!r}\n"
+        assert sidecar.read_bytes() == b"{}\n"
+        assert (path.read_bytes() == b"u,v\n1,2\n") == (refused == "x.csv")
+        assert sorted(tmp_path.iterdir()) == [path, sidecar]
+
+    def test_a_json_out_in_a_missing_directory_is_named(self, tmp_path, capsys):
+        out = str(tmp_path / "missing" / "x.json")
+        code, _, err = run_cli(capsys, "corr", *COPULA, "--k", "2", "--out", out)
+        assert code == 1
+        assert err == f"error: [Errno {errno.ENOENT}] No such file or directory: {out!r}\n"
 
 
 class TestParsing:

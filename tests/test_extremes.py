@@ -13,7 +13,6 @@ from conftest import sampler_z
 from mocorr.errors import DivergentMomentError, EvaluationError, ValidationError
 from mocorr import extremes
 from mocorr.extremes import (
-    DEFAULT_ZETA_QUAD,
     DISTRIBUTIONS,
     MAX_SEQUENCE_LENGTH,
     Functional,
@@ -43,7 +42,7 @@ GUMBEL_VAR = math.pi ** 2 / 6.0
 shapes = st.floats(min_value=-0.9, max_value=2.0)
 levels = st.floats(min_value=1e-6, max_value=1.0 - 1e-6)
 
-FAST_ZETA_QUAD = QuadratureSpec(16, 1)
+FAST_ZETA_NODES = 16
 
 
 class TestGev:
@@ -285,6 +284,42 @@ class TestMomentGuard:
         with pytest.raises(DivergentMomentError):
             check_moments(Functional("identity"), GEVShape(0.0), values)
 
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    @pytest.mark.parametrize("size", [3, 50_000])
+    def test_nan_and_minus_inf_rejected(self, bad, size):
+        values = np.ones(size)
+        values[size // 2] = bad
+        with pytest.raises(DivergentMomentError, match="non-finite"):
+            check_moments(Functional("identity"), GEVShape(0.0), values)
+
+    def test_empty_values_pass(self):
+        check_moments(Functional("identity"), GEVShape(0.0), np.array([]))
+
+    @pytest.mark.parametrize("alpha", [0.8, 1.5, 3.0, 8.0])
+    def test_blocked_guard_decides_as_the_centered_copy(self, alpha):
+        # Heavy tails straddle the 1/2 share; 40,000 values make three blocks of the sum.
+        for seed in range(20):
+            values = np.random.default_rng(seed).pareto(alpha, 40_000)
+            centered = values - values.mean()
+            centered *= centered
+            centered *= centered
+            trips = centered.max() / centered.sum() > 0.5
+            if trips:
+                with pytest.raises(DivergentMomentError, match="single term"):
+                    check_moments(Functional("identity"), GEVShape(0.0), values)
+            else:
+                check_moments(Functional("identity"), GEVShape(0.0), values)
+
+    def test_guard_makes_no_copy_of_the_values(self):
+        values = np.random.default_rng(5).standard_normal(1_000_000)
+        tracemalloc.start()
+        try:
+            check_moments(Functional("identity"), GEVShape(0.0), values)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.05 * values.nbytes
+
 
 class TestDisjointVariance:
     def test_indicator_closed_form(self):
@@ -340,7 +375,7 @@ class TestOverlapCovariance:
     def test_indicator_exact_vs_mc(self):
         # Every node of sigma2_sb's covariance curve against the closed form.
         g, t = GEVShape(0.3), 0.8
-        report = sigma2_sb(Functional("indicator", threshold=t), g, FAST_ZETA_QUAD, 400_000,
+        report = sigma2_sb(Functional("indicator", threshold=t), g, FAST_ZETA_NODES, 400_000,
                            RngStream(90))
         for zeta, cov, se in report.per_zeta:
             assert abs(cov - indicator_cov_exact(ZetaOverlap(zeta), g, t)) <= 3 * se
@@ -427,12 +462,12 @@ class TestGumbelEngine:
 
 class TestSlidingVariance:
     def test_zeta_quadrature_normalization(self):
-        nodes, weights = DEFAULT_ZETA_QUAD.axis_nodes()
+        nodes, weights = QuadratureSpec(32, 1).axis_nodes()
         assert 2.0 * float(weights @ (1.0 - nodes)) == pytest.approx(1.0, abs=1e-12)
 
     def test_indicator_matches_exact_oracle(self):
         g, t = GEVShape(0.5), 1.2
-        report = sigma2_sb(Functional("indicator", threshold=t), g, FAST_ZETA_QUAD,
+        report = sigma2_sb(Functional("indicator", threshold=t), g, FAST_ZETA_NODES,
                            150_000, RngStream(91))
         exact = sigma2_sb_indicator_exact(g, t)
         assert abs(report.sigma2_sb - exact) <= 3 * report.sigma2_sb_se
@@ -485,7 +520,7 @@ class TestSlidingVariance:
             (Functional("indicator", threshold=1.0), 0.5),
         ]
         for i, (h, gamma) in enumerate(cases):
-            report = sigma2_sb(h, GEVShape(gamma), FAST_ZETA_QUAD,
+            report = sigma2_sb(h, GEVShape(gamma), FAST_ZETA_NODES,
                                60_000, RngStream(92).child(i))
             slack = 3 * math.hypot(report.sigma2_sb_se, report.sigma2_db_se)
             assert report.sigma2_sb <= report.sigma2_db + slack
@@ -494,7 +529,7 @@ class TestSlidingVariance:
                 report.sigma2_sb / report.sigma2_db)
 
     def test_const_degenerate(self):
-        report = sigma2_sb(Functional("const"), GEVShape(0.0), FAST_ZETA_QUAD,
+        report = sigma2_sb(Functional("const"), GEVShape(0.0), FAST_ZETA_NODES,
                            10_000, RngStream(93))
         assert report.degenerate
         assert math.isnan(report.ratio)
@@ -504,16 +539,22 @@ class TestSlidingVariance:
         # Far out in gamma < 0 the sliding estimate is dominated by a few
         # huge values and comes out negative.
         with pytest.raises(EvaluationError, match="negative or non-finite"):
-            sigma2_sb(Functional("identity"), GEVShape(-50.0), QuadratureSpec(4, 1),
+            sigma2_sb(Functional("identity"), GEVShape(-50.0), 4,
                       2000, RngStream(20240601))
+
+    @pytest.mark.parametrize("zeta_nodes", [1, 1025])
+    def test_node_count_checked_before_the_draw(self, zeta_nodes, monkeypatch):
+        monkeypatch.setattr(extremes, "draw_uniforms", lambda *args: pytest.fail("drew"))
+        with pytest.raises(ValidationError, match="nodes_per_axis"):
+            sigma2_sb(Functional("square"), GEVShape(0.5), zeta_nodes, 1000, RngStream(95))
 
     def test_divergent_moments_raise(self):
         with pytest.raises(DivergentMomentError):
-            sigma2_sb(Functional("square"), GEVShape(0.5), FAST_ZETA_QUAD,
+            sigma2_sb(Functional("square"), GEVShape(0.5), FAST_ZETA_NODES,
                       10_000, RngStream(94))
 
     def test_report_round_trip(self):
-        report = sigma2_sb(Functional("identity"), GEVShape(0.0), FAST_ZETA_QUAD,
+        report = sigma2_sb(Functional("identity"), GEVShape(0.0), FAST_ZETA_NODES,
                            20_000, RngStream(95))
         payload = report.to_report()
         assert payload["method"] == "quadrature_mc"
@@ -639,7 +680,7 @@ class TestBlockSimulation:
     def test_sliding_below_disjoint_target(self):
         sim = block_maxima_simulate("gumbel", 100, 3000, "sliding",
                                     Functional("identity"), RngStream(98))
-        oracle = sigma2_sb(Functional("identity"), GEVShape(0.0), FAST_ZETA_QUAD,
+        oracle = sigma2_sb(Functional("identity"), GEVShape(0.0), FAST_ZETA_NODES,
                            100_000, RngStream(99))
         assert abs(sim.estimate - oracle.sigma2_sb) <= 0.15
         assert sim.estimate < GUMBEL_VAR
@@ -682,10 +723,10 @@ class TestBlockSimulation:
         return peak / (8 * r * n_blocks)
 
     def test_sliding_peak_holds_no_dead_draw(self):
-        # The draw is never held: the values of h, the moment guard's one
-        # centered copy of them and a chunk's worth of draws and lag-window
-        # blocks are what remain at the peak.
-        assert self._peak("sliding") < 2.5
+        # The draw is never held, and the moment guard copies no more than
+        # a block: the values of h and a chunk's worth of draws and
+        # lag-window blocks are what remain at the peak.
+        assert self._peak("sliding") < 2.1
 
     def test_disjoint_peak_holds_one_chunk(self):
         # One RNG chunk (a sixteenth of the draw) and the block maxima.

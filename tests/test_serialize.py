@@ -1,4 +1,5 @@
-"""The streaming CSV writer against the per-row formatter it replaced."""
+"""The one writer, ``write_text``, and the CSV text of ``csv_text`` against
+the per-row formatter it replaced."""
 
 import math
 import os
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import refuse_replace
 from mocorr.errors import ValidationError
 from mocorr.extremes import GEVShape, ZetaOverlap, sample_limit_pair
 from mocorr.maxcorr import sample_gaussian_copula
@@ -23,7 +25,12 @@ from mocorr.mo import (
     write_sample_csv,
 )
 from mocorr.rng import RngStream
-from mocorr.serialize import CSV_CHUNK_ROWS, _csv_chunks, write_csv, write_csv_tables
+from mocorr.serialize import CSV_CHUNK_ROWS, canonical_json, csv_text, write_text
+
+
+def write_table(path, header: str, rows) -> None:
+    """One table of rows to ``path``, as the CLI writes its CSV forms."""
+    write_text(path, csv_text(header, [rows]))
 
 
 def per_row_csv(header: str, rows) -> bytes:
@@ -63,7 +70,7 @@ def test_samples_match_per_row_writer(tmp_path, family, n):
 
 def test_edge_values_single_column(tmp_path):
     path = tmp_path / "edge.csv"
-    write_csv(path, "x", [[v] for v in EDGE_VALUES])
+    write_table(path, "x", [[v] for v in EDGE_VALUES])
     assert path.read_bytes() == per_row_csv("x", [[v] for v in EDGE_VALUES])
     assert path.read_text().splitlines()[1:3] == ["0", "-0"]
 
@@ -72,13 +79,13 @@ def test_edge_values_three_columns(tmp_path):
     rows = [EDGE_VALUES[i:i + 3] for i in range(len(EDGE_VALUES) - 2)]
     rows += [[-v for v in row] for row in rows]
     path = tmp_path / "edge3.csv"
-    write_csv(path, "a,b,c", rows)
+    write_table(path, "a,b,c", rows)
     assert path.read_bytes() == per_row_csv("a,b,c", rows)
 
 
 def test_empty_table_writes_header_only(tmp_path):
     path = tmp_path / "empty.csv"
-    write_csv(path, "zeta,cov,se", [])
+    write_table(path, "zeta,cov,se", [])
     assert path.read_bytes() == b"zeta,cov,se\n" == per_row_csv("zeta,cov,se", [])
 
 
@@ -88,7 +95,7 @@ def test_non_finite_leaves_no_file(tmp_path, bad):
     rows[-1, 1] = bad
     path = tmp_path / "bad.csv"
     with pytest.raises(ValidationError, match="non-finite"):
-        write_csv(path, "u,v", rows)
+        write_table(path, "u,v", rows)
     assert not path.exists()
 
 
@@ -97,10 +104,10 @@ def test_a_failed_write_leaves_the_old_file(tmp_path):
     path.write_bytes(b"u,v\n1,2\n")
     tables = (np.full((3, 2), x) for x in (0.5, math.nan))
     with pytest.raises(ValidationError, match="non-finite"):
-        write_csv_tables(path, "u,v", tables)
+        write_text(path, csv_text("u,v", tables))
     assert path.read_bytes() == b"u,v\n1,2\n"
     assert list(tmp_path.iterdir()) == [path]
-    write_csv_tables(path, "u,v", (np.full((1, 2), x) for x in (0.5, 0.25)))
+    write_text(path, csv_text("u,v", (np.full((1, 2), x) for x in (0.5, 0.25))))
     assert path.read_bytes() == b"u,v\n0.5,0.5\n0.25,0.25\n"
 
 
@@ -108,7 +115,7 @@ def test_a_symlink_keeps_pointing_at_the_new_file(tmp_path):
     target, link = tmp_path / "target.csv", tmp_path / "link.csv"
     target.write_bytes(b"old\n")
     link.symlink_to(target)
-    write_csv(link, "x", [[1.5]])
+    write_table(link, "x", [[1.5]])
     assert link.is_symlink() and target.read_bytes() == b"x\n1.5\n"
 
 
@@ -119,7 +126,7 @@ def test_a_pipe_is_written_not_replaced(tmp_path):
     received = []
     reader = threading.Thread(target=lambda: received.append(pipe.read_bytes()), daemon=True)
     reader.start()
-    write_csv(pipe, "x", [[1.5], [2.0]])
+    write_table(pipe, "x", [[1.5], [2.0]])
     reader.join(timeout=10)
     assert received == [b"x\n1.5\n2\n"]
     assert stat.S_ISFIFO(os.stat(pipe).st_mode)
@@ -130,7 +137,7 @@ def test_an_anonymous_pipe_is_written_through_dev_fd():
     # /dev/fd/N of a pipe resolves to no path, so it must be opened as given.
     r, w = os.pipe()
     try:
-        write_csv(f"/dev/fd/{w}", "x", [[1.5], [2.0]])
+        write_table(f"/dev/fd/{w}", "x", [[1.5], [2.0]])
         os.close(w)
         w = None
         with os.fdopen(r, "rb") as fh:
@@ -145,9 +152,46 @@ def test_an_anonymous_pipe_is_written_through_dev_fd():
 def test_an_os_error_names_the_path_not_the_temporary_file(tmp_path):
     path = tmp_path / "missing" / "x.csv"
     with pytest.raises(FileNotFoundError) as info:
-        write_csv(path, "x", [[1.5]])
+        write_table(path, "x", [[1.5]])
     assert info.value.filename == str(path)
     assert not (tmp_path / "missing").exists()
+
+
+def test_a_failed_replace_keeps_the_old_file_and_names_it(tmp_path, monkeypatch):
+    path = tmp_path / "report.json"
+    path.write_bytes(b"{}\n")
+    refuse_replace(monkeypatch)
+    with pytest.raises(PermissionError) as info:
+        write_text(path, [canonical_json({"a": 1.5}) + "\n"])
+    assert info.value.filename == str(path)
+    assert path.read_bytes() == b"{}\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_none_writes_stdout(capsys):
+    write_text(None, iter(["a", "b\n"]))
+    write_text(None, csv_text("x", [[[1.5]]]))
+    assert capsys.readouterr().out == "ab\nx\n1.5\n"
+
+
+@pytest.mark.parametrize("rows", [[[math.nan]],
+                                  np.zeros((CSV_CHUNK_ROWS + 5, 2)) + [0, math.nan]])
+def test_a_non_finite_first_table_yields_nothing(rows):
+    with pytest.raises(ValidationError, match="non-finite"):
+        next(csv_text("u", [rows]))
+
+
+def test_each_table_is_checked_before_its_text():
+    parts = csv_text("u,v", [np.full((2, 2), 0.5), [[1.0, math.inf]]])
+    assert next(parts) == "u,v\n0.5,0.5\n0.5,0.5\n"
+    with pytest.raises(ValidationError, match="non-finite"):
+        next(parts)
+
+
+def test_no_tables_yield_the_header_alone():
+    assert list(csv_text("zeta,cov,se", [])) == ["zeta,cov,se\n"]
+    assert list(csv_text("u,v", [[], np.zeros((0, 2))])) == ["u,v\n"]
+    assert list(csv_text("u,v", [[], [[1.0, 2.0]]])) == ["u,v\n1,2\n"]
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +199,7 @@ def test_an_os_error_names_the_path_not_the_temporary_file(tmp_path):
 
 
 def csv_bytes(header: str, rows) -> bytes:
-    return "".join(_csv_chunks(header, rows)).encode("ascii")
+    return "".join(csv_text(header, [rows])).encode("ascii")
 
 
 def assert_cells_exact(values, columns=1):
