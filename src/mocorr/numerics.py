@@ -6,8 +6,9 @@ value of the normalized binned operator from a dense SVD, and a binned
 goodness of fit: exact cell masses of a cdf by inclusion-exclusion and
 Pearson's chi-square of bin counts against them, as a z score.
 
-The standard normal cdf and quantile (``ndtr``, ``ndtri``) are numpy
-rational approximations: Cody's ``erfc`` and Wichura's AS241.
+The standard normal cdf ``ndtr`` is numpy Cody ``erfc``, a block of
+values at a time; the quantile ``ndtri`` is the standard library's
+Wichura AS241 (``statistics.NormalDist.inv_cdf``), one value at a time.
 
 The block simulation's kernels work on a sequence handed over in chunks:
 disjoint block maxima, the values of all sliding windows, and the
@@ -107,34 +108,6 @@ _ERFC_TAIL_DEN = (1.0, 2.56852019228982242e00, 1.87295284992346725e00,
 _RSQRT_PI = 5.6418958354775628695e-1
 _RSQRT_2 = 7.0710678118654752440e-1
 
-# Wichura (1988), AS241 (PPND16): the quantile at q = p - 1/2 is
-# q P(r) / Q(r), r = 0.180625 - q^2, for |q| <= 0.425 ...
-_AS241_NUM = (2.5090809287301226727e+3, 3.3430575583588128105e+4, 6.7265770927008700853e+4,
-              4.5921953931549871457e+4, 1.3731693765509461125e+4, 1.9715909503065514427e+3,
-              1.3314166789178437745e+2, 3.3871328727963666080e+0)
-_AS241_DEN = (5.2264952788528545610e+3, 2.8729085735721942674e+4, 3.9307895800092710610e+4,
-              2.1213794301586595867e+4, 5.3941960214247511077e+3, 6.8718700749205790830e+2,
-              4.2313330701600911252e+1, 1.0)
-# ... and in the tails +-P(r) / Q(r) on r = sqrt(-log(min(p, 1 - p))) - 1.6
-# for r <= 5 ...
-_AS241_MID_NUM = (7.74545014278341407640e-4, 2.27238449892691845833e-2,
-                  2.41780725177450611770e-1, 1.27045825245236838258e+0,
-                  3.64784832476320460504e+0, 5.76949722146069140550e+0,
-                  4.63033784615654529590e+0, 1.42343711074968357734e+0)
-_AS241_MID_DEN = (1.05075007164441684324e-9, 5.47593808499534494600e-4,
-                  1.51986665636164571966e-2, 1.48103976427480074590e-1,
-                  6.89767334985100004550e-1, 1.67638483018380384940e+0,
-                  2.05319162663775882187e+0, 1.0)
-# ... and on r = sqrt(-log(min(p, 1 - p))) - 5 beyond.
-_AS241_TAIL_NUM = (2.01033439929228813265e-7, 2.71155556874348757815e-5,
-                   1.24266094738807843860e-3, 2.65321895265761230930e-2,
-                   2.96560571828504891230e-1, 1.78482653991729133580e+0,
-                   5.46378491116411436990e+0, 6.65790464350110377720e+0)
-_AS241_TAIL_DEN = (2.04426310338993978564e-15, 1.42151175831644588870e-7,
-                   1.84631831751005468180e-5, 7.86869131145613259100e-4,
-                   1.48753612908506148525e-2, 1.36929880922735805310e-1,
-                   5.99832206555887937690e-1, 1.0)
-
 
 def _ratio(num, den, x: np.ndarray) -> np.ndarray:
     """``num(x) / den(x)``, both by Horner's rule in place."""
@@ -160,21 +133,9 @@ def _split(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(mask), np.flatnonzero(~mask)
 
 
-#: Elements per block of :func:`ndtr` and :func:`ndtri`: a block's dozen
-#: temporaries stay in cache, which makes the kernels 2-3x faster at 1e6.
+#: Elements per block of :func:`ndtr`: a block's dozen temporaries stay in
+#: cache, which makes it 2-3x faster at 1e6.
 _NORMAL_BLOCK = 1 << 14
-
-
-def _blockwise(kernel, a):
-    """``kernel(block, out)`` over the float array ``a`` one flat block at a time."""
-    a = np.asarray(a, dtype=float)
-    flat = a.ravel()
-    out = np.empty(flat.shape)
-    for start in range(0, flat.size, _NORMAL_BLOCK):
-        stop = start + _NORMAL_BLOCK
-        kernel(flat[start:stop], out[start:stop])
-    out = out.reshape(a.shape)
-    return out if out.ndim else float(out)
 
 
 def _ndtr_block(a: np.ndarray, out: np.ndarray) -> None:
@@ -226,37 +187,29 @@ def ndtr(a):
     so rounding ``x`` costs no accuracy in the tails.  ``ndtr(-inf) = 0``
     and ``ndtr(inf) = 1``.
     """
-    return _blockwise(_ndtr_block, a)
-
-
-def _ndtri_block(p: np.ndarray, out: np.ndarray) -> None:
-    q = p - 0.5
-    central, tail = _split(np.abs(q) <= 0.425)
-    qc = q.take(central)
-    z = _ratio(_AS241_NUM, _AS241_DEN, 0.180625 - qc * qc)
-    z *= qc
-    out.put(central, z)
-    qt = q.take(tail)
-    pt = p.take(tail)
-    r = np.where(qt < 0.0, pt, 1.0 - pt)  # min(p, 1 - p), exact
-    z = np.where(r == 0.0, np.inf, np.nan)
-    inside = np.flatnonzero(r > 0.0)
-    s = np.sqrt(-np.log(r.take(inside)))
-    near, far = _split(s <= 5.0)
-    s.put(near, _ratio(_AS241_MID_NUM, _AS241_MID_DEN, s.take(near) - 1.6))
-    s.put(far, _ratio(_AS241_TAIL_NUM, _AS241_TAIL_DEN, s.take(far) - 5.0))
-    z.put(inside, s)
-    out.put(tail, np.copysign(z, qt))
+    a = np.asarray(a, dtype=float)
+    flat = a.ravel()
+    out = np.empty(flat.shape)
+    for start in range(0, flat.size, _NORMAL_BLOCK):
+        stop = start + _NORMAL_BLOCK
+        _ndtr_block(flat[start:stop], out[start:stop])
+    out = out.reshape(a.shape)
+    return out if out.ndim else float(out)
 
 
 def ndtri(p):
     """Standard normal quantile, within 5 ulp on [1e-300, 1 - 1e-16].
 
-    Wichura's AS241 (the coefficients of the pure-Python fallback of
-    ``statistics.NormalDist.inv_cdf``), one range at a time.
-    ``ndtri(0) = -inf``, ``ndtri(1) = inf``; NaN outside [0, 1].
+    ``statistics.NormalDist().inv_cdf``, Wichura's AS241, one value at a
+    time.  ``ndtri(0) = -inf``, ``ndtri(1) = inf``; NaN outside [0, 1].
     """
-    return _blockwise(_ndtri_block, p)
+    from statistics import NormalDist  # imports decimal, fractions, random: only here
+
+    p = np.asarray(p, dtype=float)
+    out = np.where(p == 0.0, -np.inf, np.where(p == 1.0, np.inf, np.nan))
+    inside = (p > 0.0) & (p < 1.0)
+    out[inside] = list(map(NormalDist().inv_cdf, p[inside].tolist()))
+    return out if out.ndim else float(out)
 
 
 def _pairs(sample) -> np.ndarray:

@@ -894,3 +894,24 @@ class TestParsing:
         gaussian = runs.index(["maxcorr", "--family", "gaussian", "--rho", "0.6",
                                "-n", "100000", "--m", "32"])
         assert json.loads(results[gaussian][1])["abs_error"] < 0.02
+
+    def test_only_the_quantile_imports_statistics(self, tmp_path):
+        # ndtri imports statistics when first called: the package import
+        # and the Gaussian sampler, which needs only ndtr, skip it; the
+        # Gaussian copula cdf takes quantiles and loads it.
+        probe = ("import contextlib, io, json, sys\n"
+                 "import mocorr\n"
+                 "from mocorr.cli import main\n"
+                 "gaussian = ['--family', 'gaussian', '--rho', '0.6']\n"
+                 "def loaded(*argv):\n"
+                 "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                 "        assert main(list(argv)) == 0, argv\n"
+                 "    return 'statistics' in sys.modules\n"
+                 "print(json.dumps(['statistics' in sys.modules,\n"
+                 "                  loaded('maxcorr', *gaussian, '-n', '20000', '--m', '16'),\n"
+                 "                  loaded('sample', *gaussian, '-n', '1000', '--out', sys.argv[1]),\n"
+                 "                  loaded('cdf-eval', *gaussian, '--at', '0.3', '0.7')]))\n")
+        proc = subprocess.run([sys.executable, "-c", probe, str(tmp_path / "gaussian.csv")],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [False, False, False, True]

@@ -1,8 +1,10 @@
-"""The numpy standard normal cdf and quantile: accuracy, ends and the CLI."""
+"""The standard normal cdf and quantile: accuracy, ends and the CLI."""
 
 import json
+import math
 import subprocess
 import sys
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -183,6 +185,21 @@ class TestNdtri:
         got = ndtri(p)
         assert np.all(np.diff(got) >= 0.0)
         assert got[0] == -np.inf and got[-1] == np.inf
+
+    def test_is_the_standard_library_quantile(self):
+        # Bit for bit on AS241's three ranges (|p - 1/2| <= 0.425, then
+        # min(p, 1 - p) above and below exp(-25)), from the least subnormal
+        # to the double below 1.
+        rng = np.random.default_rng(8)
+        p = np.concatenate([rng.random(60_000),
+                            10.0 ** -rng.uniform(1.0, 323.0, 20_000),
+                            1.0 - 10.0 ** -rng.uniform(1.0, 15.9, 20_000),
+                            [5e-324, 1e-300, math.exp(-25.0), 0.075, 0.925,
+                             1.0 - math.exp(-25.0), 1.0 - 2.0 ** -53]])
+        assert np.all((p > 0.0) & (p < 1.0))
+        inv_cdf = NormalDist().inv_cdf
+        expected = np.array([inv_cdf(x) for x in p.tolist()])
+        assert np.array_equal(ndtri(p), expected)
 
     def test_round_trip(self):
         p = np.random.default_rng(6).random(10_000)
