@@ -915,3 +915,28 @@ class TestParsing:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == [False, False, False, True]
+
+    def test_only_verify_imports_concurrent_futures(self, tmp_path):
+        # run_battery imports the thread pool when first called: the package
+        # import and the other subcommands skip it.
+        probe = ("import contextlib, io, json, sys\n"
+                 "import mocorr\n"
+                 "from mocorr.cli import main\n"
+                 "def loaded(*argv):\n"
+                 "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                 "        assert main(list(argv)) == 0, argv\n"
+                 "    return 'concurrent.futures' in sys.modules\n"
+                 "print(json.dumps(['concurrent.futures' in sys.modules,\n"
+                 "                  loaded('maxcorr', '--family', 'copula', '--phi', '0.3',\n"
+                 "                         '--psi', '0.7', '-n', '20000', '--m', '16'),\n"
+                 "                  loaded('sample', '--family', 'mo', '--l1', '1', '--l2', '2',\n"
+                 "                         '--l12', '1.5', '-n', '1000', '--out', sys.argv[1]),\n"
+                 "                  loaded('variance', '--h', 'identity', '--gamma', '0',\n"
+                 "                         '--n-mc', '2000', '--zeta-nodes', '4'),\n"
+                 "                  loaded('blocksim', '--dist', 'exp', '--r', '10',\n"
+                 "                         '--n-blocks', '100', '--mode', 'both'),\n"
+                 "                  loaded('verify', '--quick')]))\n")
+        proc = subprocess.run([sys.executable, "-c", probe, str(tmp_path / "mo.csv")],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [False, False, False, False, False, True]
