@@ -145,7 +145,7 @@ def cmd_variance(args: argparse.Namespace) -> int:
             raise ValidationError(
                 "--blocksim-dist requires --blocksim-r and --blocksim-blocks")
         gamma_dist = extremes._block_scaling(args.blocksim_dist, args.blocksim_r,
-                                             args.blocksim_blocks, args.alpha)[0]
+                                             args.blocksim_blocks, args.alpha)[2]
         if abs(gamma_dist - args.gamma) > 1e-12:
             raise ValidationError(
                 f"--blocksim-dist {args.blocksim_dist} has shape {gamma_dist:g}, "

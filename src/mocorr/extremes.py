@@ -21,7 +21,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DivergentMomentError, EvaluationError, ValidationError, _check_floats
+from .errors import (DivergentMomentError, EvaluationError, ValidationError, _check_count,
+                     _check_floats)
 from .mo import CopulaParams, PairSample, copula_cdf, pair_sample
 from .numerics import (QuadratureSpec, _check_range, _disjoint_maxima, _lag_window_estimate,
                        _sliding_values)
@@ -284,10 +285,9 @@ class VarianceReport:
 
 def sigma2_db(h: Functional, g: GEVShape, n_mc: int, rng: RngStream) -> tuple[float, float]:
     """Disjoint-blocks variance ``Var(h(Y))`` with its MC standard error."""
-    if int(n_mc) < 2:
-        raise ValidationError("n_mc must be >= 2")
+    n_mc = _check_count(n_mc, "n_mc", 2)
     check_moments(h, g)
-    values = _h_values(h, g, _to_gumbel(draw_uniforms(rng, int(n_mc), 1).ravel()))
+    values = _h_values(h, g, _to_gumbel(draw_uniforms(rng, n_mc, 1).ravel()))
     check_moments(h, g, values)
     var = float(np.var(values, ddof=1))
     centered = values - values.mean()
@@ -342,10 +342,9 @@ def limit_pair_corr(h: Functional, g: GEVShape, z: ZetaOverlap,
     chunks (so also when it is constant on the whole draw), where a
     correlation the result needs is undefined.
     """
-    if int(n_mc) < 4:
-        raise ValidationError("n_mc must be >= 4")
+    n_mc = _check_count(n_mc, "n_mc", 4)
     check_moments(h, g)
-    h1, h2 = _pair_values(h, g, z.zeta, _to_gumbel(draw_uniforms(rng, int(n_mc), 3)))
+    h1, h2 = _pair_values(h, g, z.zeta, _to_gumbel(draw_uniforms(rng, n_mc, 3)))
     check_moments(h, g, h1)
     chunks = max(2, min(25, h1.size // 2))
     parts = []
@@ -376,8 +375,9 @@ def sigma2_sb(h: Functional, g: GEVShape, zeta_nodes: int = 32, n_mc: int = 200_
     if rng is None:
         raise ValidationError("sigma2_sb requires an RngStream")
     check_moments(h, g)
-    db, db_se = sigma2_db(h, g, int(n_mc), rng.child(1))
-    gumbel = _to_gumbel(draw_uniforms(rng.child(0), int(n_mc), 3))
+    n_mc = _check_count(n_mc, "n_mc", 2)
+    db, db_se = sigma2_db(h, g, n_mc, rng.child(1))
+    gumbel = _to_gumbel(draw_uniforms(rng.child(0), n_mc, 3))
     curve = []
     total = 0.0
     total_se = 0.0
@@ -407,7 +407,7 @@ def sigma2_sb(h: Functional, g: GEVShape, zeta_nodes: int = 32, n_mc: int = 200_
         per_zeta=curve,
         h=h,
         gamma=g.gamma,
-        n=int(n_mc),
+        n=n_mc,
         seed=rng,
     )
 
@@ -498,36 +498,32 @@ def doa_scaling(dist: str, r: int, alpha: float | None = None) -> tuple[float, f
     """
     if dist not in _BASE:
         raise ValidationError(f"unknown distribution {dist!r}; pick one of {DISTRIBUTIONS}")
-    if int(r) < 1:
-        raise ValidationError("block size r must be >= 1")
-    return _BASE[dist][1](int(r), alpha)
+    return _BASE[dist][1](_check_count(r, "block size r", 1), alpha)
 
 
 def _block_scaling(dist: str, r: int, n_blocks: int,
-                   alpha: float | None = None) -> tuple[float, float, float]:
-    """Check the block-simulation sizes, then return :func:`doa_scaling`.
+                   alpha: float | None = None) -> tuple[int, int, float, float, float]:
+    """``(r, n_blocks, gamma, a_r, b_r)``: the checked sizes as ints, then :func:`doa_scaling`.
 
     Cheap enough to run before any Monte Carlo, so the CLI calls it
     ahead of the work as well.
     """
-    if int(n_blocks) < 2:
-        raise ValidationError("n_blocks must be >= 2")
-    total = int(r) * int(n_blocks)
+    n_blocks = _check_count(n_blocks, "n_blocks", 2)
+    r = _check_count(r, "block size r", 1)
+    total = r * n_blocks
     if total > MAX_SEQUENCE_LENGTH:
         raise ValidationError(
             f"sequence length r*n_blocks = {total} exceeds the cap "
             f"{MAX_SEQUENCE_LENGTH}; reduce r or n_blocks"
         )
-    return doa_scaling(dist, r, alpha)
+    return (r, n_blocks, *doa_scaling(dist, r, alpha))
 
 
 def sliding_max(x: np.ndarray, r: int) -> np.ndarray:
     """Maxima over all length-``r`` windows of ``x`` (two-pass, O(n))."""
     x = np.asarray(x, dtype=float)
     n = x.size
-    if int(r) < 1:
-        raise ValidationError("window length must be >= 1")
-    r = int(r)
+    r = _check_count(r, "window length", 1)
     if r > n:
         raise ValidationError("window longer than the sequence")
     if r == 1:
@@ -590,8 +586,7 @@ def block_maxima_simulate(dist: str, r: int, n_blocks: int, mode: str,
     """
     if mode not in ("disjoint", "sliding"):
         raise ValidationError("mode must be 'disjoint' or 'sliding'")
-    gamma, a_r, b_r = _block_scaling(dist, r, n_blocks, alpha)
-    r, n_blocks = int(r), int(n_blocks)
+    r, n_blocks, gamma, a_r, b_r = _block_scaling(dist, r, n_blocks, alpha)
     if not math.isfinite(gamma):
         raise EvaluationError(f"the shape gamma = 1/alpha overflows at alpha={alpha:g}")
     g = GEVShape(gamma)

@@ -159,17 +159,17 @@ def estimate_max_corr(sample: PairSample, m: int = 64) -> MaxCorrEstimate:
     MaxCorrEstimate
         ``residual`` holds the spectral gap ``sigma2 - sigma3``.
     """
-    _check_bins(m)
+    m = _check_bins(m)
     n = sample.n if isinstance(sample, (PairSample, PairChunks)) else len(sample)
-    if n < 10 * int(m) ** 2:
+    if n < 10 * m ** 2:
         raise ValidationError(
             f"insufficient sample: the estimator requires n >= 10*m^2 "
-            f"(= {10 * int(m) ** 2} for m = {m}), got n = {n}"
+            f"(= {10 * m ** 2} for m = {m}), got n = {n}"
         )
-    value, gap = second_singular_value(bin_pairs(sample, int(m)))  # validates the pairs
+    value, gap = second_singular_value(bin_pairs(sample, m))  # validates the pairs
     return MaxCorrEstimate(
         value=value,
-        m=int(m),
+        m=m,
         n=n,
         residual=gap,
         family=getattr(sample, "family", "copula"),
@@ -199,11 +199,6 @@ def _gaussian_chunk(rho: float, gen: np.random.Generator, size: int) -> np.ndarr
 def sample_gaussian_copula(rho: float, n: int, rng: RngStream) -> PairSample:
     """Pairs ``(Phi(Z1), Phi(Z2))`` with correlated standard normals."""
     return pair_sample("gaussian", _check_rho(rho), n, rng)
-
-
-#: Rows per block of the node sums in :func:`gaussian_copula_cdf`: its
-#: ``(rows, <= 20)`` temporaries stay small at any input size.
-_GAUSS_CDF_ROWS = 4096
 
 
 def _bvn_upper(h: np.ndarray, k: np.ndarray, r: float) -> np.ndarray:
@@ -271,12 +266,7 @@ def gaussian_copula_cdf(rho: float, u, v):
     a, b = np.broadcast_arrays(*map(np.atleast_1d, _unit_pair(u, v)))
     x = np.clip(ndtri(np.clip(a, 1e-300, 1.0)), -8.0, 8.0)
     y = np.clip(ndtri(np.clip(b, 1e-300, 1.0)), -8.0, 8.0)
-    h, k = -x.ravel(), -y.ravel()
-    base = np.empty(h.size)
-    for i in range(0, h.size, _GAUSS_CDF_ROWS):
-        rows = slice(i, i + _GAUSS_CDF_ROWS)
-        base[rows] = _bvn_upper(h[rows], k[rows], rho)
-    base = base.reshape(x.shape)
+    base = _bvn_upper(-x.ravel(), -y.ravel(), rho).reshape(x.shape)
     # Every copula lies between the Frechet bounds; the clip keeps the rounding there too.
     upper = np.minimum(a, b)
     out = np.clip(base, np.maximum(a + b - 1.0, 0.0), upper)

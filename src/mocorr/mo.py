@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .errors import EvaluationError, ValidationError, _check_floats
+from .errors import EvaluationError, ValidationError, _check_count, _check_floats
 from .numerics import _check_range, _pairs
 from .rng import RngStream, draw_iid, iter_chunks
 from .serialize import canonical_json, csv_text, write_text
@@ -126,7 +126,7 @@ class PairChunks:
 def pair_sample(family: str, p, n: int, rng: RngStream) -> PairSample:
     """Draw ``n`` pairs of ``family`` at params ``p``: its per-chunk map, concatenated."""
     record = _family(family)
-    pairs = draw_iid(rng, _check_n(n), lambda g, size: record.chunk(p, g, size))
+    pairs = draw_iid(rng, _check_count(n, "n", 1), lambda g, size: record.chunk(p, g, size))
     return PairSample(pairs, family, record.as_dict(p), rng)
 
 
@@ -139,7 +139,7 @@ def sample_chunks(family: str, p, n: int, rng: RngStream) -> PairChunks:
     """
     record = _family(family)
     params = record.as_dict(p)
-    n = _check_n(n)
+    n = _check_count(n, "n", 1)
 
     def chunks():
         for pairs in iter_chunks(rng, n, lambda g, size: record.chunk(p, g, size)):
@@ -202,8 +202,7 @@ def mo_survival(p: MOParams, x1, x2):
 
 def mo_marginal_survival(p: MOParams, which: int, x):
     """Marginal survival of one coordinate, ``exp(-(lambda_j + lambda12) * x)``."""
-    if which not in (1, 2):
-        raise ValidationError("which must be 1 or 2")
+    which = _check_count(which, "which", 1, 2)
     rate = (p.lambda1 if which == 1 else p.lambda2) + p.lambda12
     a = np.asarray(x, dtype=float)
     _check_range((a,), 0.0, np.inf, "coordinate must be nonnegative and finite")
@@ -262,12 +261,6 @@ def perturbed_copula_cdf(c: CopulaParams, eps: float):
 
 # ---------------------------------------------------------------------------
 # Samplers
-
-
-def _check_n(value: int, name: str = "n") -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or int(value) < 1:
-        raise ValidationError(f"{name} must be a positive integer")
-    return int(value)
 
 
 def _mo_chunk(p: MOParams, gen: np.random.Generator, size: int) -> np.ndarray:
@@ -348,11 +341,9 @@ def max_stability_defect(c: CopulaParams, m: int, grid: int = 101, cdf=None) -> 
     extreme-value copula returns ~0 (float roundoff only); pass a
     perturbed ``cdf`` to see a positive defect.
     """
-    m = _check_n(m, "m")
-    if int(grid) < 2:
-        raise ValidationError("grid must be >= 2")
+    m, grid = _check_count(m, "m", 1), _check_count(grid, "grid", 2)
     fn = cdf if cdf is not None else (lambda u, v: copula_cdf(c, u, v))
-    pts = np.linspace(0.0, 1.0, int(grid))
+    pts = np.linspace(0.0, 1.0, grid)
     U, V = np.meshgrid(pts, pts, indexing="ij")
     direct = fn(U, V)
     rooted = fn(U ** (1.0 / m), V ** (1.0 / m)) ** m

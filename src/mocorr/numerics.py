@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EvaluationError, ValidationError
+from .errors import EvaluationError, ValidationError, _check_count
 
 
 @dataclass(frozen=True)
@@ -45,12 +45,8 @@ class QuadratureSpec:
     subdivisions: int = 8
 
     def __post_init__(self):
-        if not 2 <= int(self.nodes_per_axis) <= 1024:
-            raise ValidationError("nodes_per_axis must be in [2, 1024]")
-        if not 1 <= int(self.subdivisions) <= 4096:
-            raise ValidationError("subdivisions must be in [1, 4096]")
-        object.__setattr__(self, "nodes_per_axis", int(self.nodes_per_axis))
-        object.__setattr__(self, "subdivisions", int(self.subdivisions))
+        for name, low, high in (("nodes_per_axis", 2, 1024), ("subdivisions", 1, 4096)):
+            object.__setattr__(self, name, _check_count(getattr(self, name), name, low, high))
 
     def axis_nodes(self) -> tuple[np.ndarray, np.ndarray]:
         """Nodes and weights of the composite rule on [0, 1]."""
@@ -272,9 +268,7 @@ class BinnedOperator:
 
 def _check_bins(m) -> int:
     """Bins per axis of :func:`bin_pairs`, an integer in [2, 4096]."""
-    if not 2 <= int(m) <= 4096:
-        raise ValidationError("m must be in [2, 4096]")
-    return int(m)
+    return _check_count(m, "m", 2, 4096)
 
 
 #: Rows per block of the binning kernel: its index temporaries stay near

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import _check_count
 
 _MASK64 = (1 << 64) - 1
 
@@ -50,13 +50,7 @@ class RngStream:
 
     def __post_init__(self):
         for name in ("seed", "stream_id"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
-            value = int(value)
-            if not 0 <= value <= _MASK64:
-                raise ValidationError(f"{name} must fit in an unsigned 64-bit word")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _check_count(getattr(self, name), name, 0, _MASK64))
 
     def generator(self) -> np.random.Generator:
         """Return a fresh Generator positioned at the start of the stream."""
@@ -69,18 +63,14 @@ class RngStream:
         Children of distinct parents collide only with probability
         ~2**-64; the Philox keying keeps them independent either way.
         """
-        if isinstance(index, bool) or not isinstance(index, (int, np.integer)):
-            raise ValidationError(f"index must be an integer, got {index!r}")
-        if index < 0:
-            raise ValidationError("index must be nonnegative")
-        mixed = _splitmix64(_splitmix64(self.stream_id ^ 0xD1B54A32D192ED03) + int(index) + 1)
+        index = _check_count(index, "index", 0)
+        mixed = _splitmix64(_splitmix64(self.stream_id ^ 0xD1B54A32D192ED03) + index + 1)
         return RngStream(self.seed, mixed)
 
 
 def chunk_sizes(n: int) -> list[int]:
     """Deterministic split of ``n`` draws into at most ``MC_CHUNKS`` pieces."""
-    if n < 0:
-        raise ValidationError("n must be nonnegative")
+    n = _check_count(n, "n", 0)
     chunks = min(MC_CHUNKS, max(n, 1))
     base, extra = divmod(n, chunks)
     return [base + (1 if i < extra else 0) for i in range(chunks)]
@@ -104,8 +94,7 @@ def draw_uniforms(stream: RngStream, n: int, cols: int = 1) -> np.ndarray:
     comes from its own child stream and chunks are concatenated in a
     fixed order, so parallel scheduling could never change the output.
     """
-    if cols < 1:
-        raise ValidationError("cols must be >= 1")
+    cols = _check_count(cols, "cols", 1)
     return draw_iid(stream, n, lambda gen, size: gen.random((size, cols)))
 
 

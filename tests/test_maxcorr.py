@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from conftest import sampler_z
 from scipy.stats import multivariate_normal, norm
 
-from mocorr import maxcorr
 from mocorr.cli import main
 from mocorr.errors import ValidationError
 from mocorr.maxcorr import (
@@ -387,7 +386,7 @@ class TestGaussian:
 
     @pytest.mark.parametrize("rho", [0.6, -0.85, 0.3, -0.2, 0.95, -0.9999999])
     def test_cdf_row_blocks_match_full_width(self, rho):
-        R = maxcorr._GAUSS_CDF_ROWS
+        R = 4096
         gen = RngStream(80).generator()
         grid = np.linspace(0.0, 1.0, 101)
         cases = [gen.random((2, n)) for n in (1, R - 1, R, R + 1, 3 * R + 5)]
@@ -461,8 +460,8 @@ class TestGaussian:
     def test_cdf_value_independent_of_batch(self, rho):
         # A point's value is the same alone, at any place in any batch, and
         # in a broadcast grid. Reversing a batch moves every point to
-        # another row and, past R rows, to another block.
-        R = maxcorr._GAUSS_CDF_ROWS
+        # another row.
+        R = 4096
         gen = RngStream(81).generator()
         for n in (1, R - 1, R, R + 1, 3 * R + 5):
             u, v = gen.random((2, n))

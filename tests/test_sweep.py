@@ -6,7 +6,8 @@ values.  Every run must end with exit code 0, 1 or 2; 1 and 2 with their
 ``error:`` or ``numerical failure:`` line.  A RuntimeWarning is an error
 under the suite's warning filter, so a run that warns fails here too.  On
 exit 0 a JSON report may hold null (NaN or inf) only in the fields
-documented as nullable.
+documented as nullable.  Each integer flag takes its documented bounds and
+one step past each: exit 0 inside, exit 1 with the rule outside.
 """
 
 import contextlib
@@ -121,6 +122,75 @@ def test_far_float_edges_end_cleanly(name, tmp_path):
             problem = _outcome(argv)
             if problem is not None:
                 failures.append(f"{' '.join(argv)}: {problem}")
+    assert not failures, "\n".join(failures)
+
+
+SEED_RULE = "seed must be in [0, 18446744073709551615]"
+
+#: Per integer flag, each documented bound and one step past it: ``(value,
+#: rule)``, with ``rule`` None where the run must exit 0, else the text its
+#: ``error:`` line must hold.  No ``-n`` can reach ``--m 4096``'s bound, so
+#: that bound exits 1 on the estimator's sample floor.
+INT_EDGES = {
+    "-n": [("1", None), ("0", "n must be >= 1")],
+    "--m": [("2", None), ("1", "m must be in [2, 4096]"),
+            ("4096", "insufficient sample"), ("4097", "m must be in [2, 4096]")],
+    "--n-mc": [("2", None), ("1", "n_mc must be >= 2")],
+    "--zeta-nodes": [("2", None), ("1", "nodes_per_axis must be in [2, 1024]"),
+                     ("1024", None), ("1025", "nodes_per_axis must be in [2, 1024]")],
+    "--r": [("1", None), ("0", "block size r must be >= 1")],
+    "--n-blocks": [("2", None), ("1", "n_blocks must be >= 2")],
+    "--seed": [("0", None), ("-1", SEED_RULE),
+               (str(2**64 - 1), None), (str(2**64), SEED_RULE)],
+}
+
+#: The estimator needs n >= 10*m^2: at ``--m 2`` the bound of maxcorr's ``-n`` is 40.
+MAXCORR_N_EDGES = [("40", None), ("39", "insufficient sample"), ("0", "n must be >= 1")]
+
+
+def _with(argv, flag, value):
+    """``argv`` with ``flag``'s value replaced by ``value``, or appended."""
+    if flag not in argv:
+        return [*argv, flag, value]
+    i = argv.index(flag)
+    return [*argv[:i + 1], value, *argv[i + 2:]]
+
+
+def _edge_problem(argv, rule):
+    """``None`` if the run exits 0 (``rule`` None) or 1 naming ``rule``, else what went wrong."""
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except Exception as exc:  # a RuntimeWarning raised as an error lands here too
+        return f"raised {type(exc).__name__}: {exc}"
+    lines = err.getvalue().splitlines()
+    if rule is None:
+        return None if code == 0 else f"exit {code}: {lines}"
+    named = lines and lines[-1].startswith("error: ") and rule in lines[-1]
+    return None if code == 1 and named else f"exit {code}: {lines}"
+
+
+def test_int_edges_cover_every_int_flag():
+    assert set(INT_EDGES) == INT_FLAGS
+
+
+@pytest.mark.parametrize("flag", sorted(INT_EDGES))
+def test_int_flags_at_their_bounds(flag, tmp_path):
+    failures = []
+    for template in TEMPLATES.values():
+        argv = [str(tmp_path / "s.csv") if a == "OUT" else a for a in template]
+        # Every subcommand takes --seed; cdf-eval and corr draw nothing and never read it.
+        if flag not in argv and (flag != "--seed" or argv[0] in ("cdf-eval", "corr")):
+            continue
+        edges = INT_EDGES[flag]
+        if flag == "-n" and argv[0] == "maxcorr":
+            argv, edges = _with(argv, "--m", "2"), MAXCORR_N_EDGES
+        for value, rule in edges:
+            run = _with(argv, flag, value)
+            problem = _edge_problem(run, rule)
+            if problem is not None:
+                failures.append(f"{' '.join(run)}: {problem}")
     assert not failures, "\n".join(failures)
 
 
