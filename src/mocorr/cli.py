@@ -23,9 +23,9 @@ import sys
 import numpy as np
 
 from . import extremes, maxcorr, mo, verify
-from .errors import DivergentMomentError, EvaluationError, ValidationError
+from .errors import DivergentMomentError, EvaluationError, ValidationError, _check_count
 from .families import FAMILY_TABLE
-from .rng import DEFAULT_SEED, RngStream
+from .rng import _MASK64, DEFAULT_SEED, RngStream
 from .serialize import canonical_json, csv_text, write_text
 
 
@@ -74,6 +74,11 @@ def _functional(args: argparse.Namespace) -> extremes.Functional:
     return extremes.Functional(name, threshold=args.threshold)
 
 
+def _check_seed(args: argparse.Namespace) -> None:
+    """Refuse a seed no stream takes, in the subcommands that draw nothing."""
+    _check_count(args.seed, "seed", 0, _MASK64)
+
+
 def _emit(report: dict, out: str | None) -> None:
     write_text(out, [canonical_json(report) + "\n"])
 
@@ -95,6 +100,7 @@ def cmd_cdf_eval(args: argparse.Namespace) -> int:
         raise ValidationError("cdf-eval requires at least one --at U V point")
     points = np.asarray(args.at, dtype=float)
     values = family.cdf(params, points[:, 0], points[:, 1])
+    _check_seed(args)
     if args.format == "csv":
         write_text(args.out, csv_text("u,v,value", [np.column_stack([points, values])]))
         return 0
@@ -118,6 +124,7 @@ def cmd_corr(args: argparse.Namespace) -> int:
         report = {"k": args.k, "corr": maxcorr.power_corr(p.copula, idx)}
     report.update(family=args.family, params=family.as_dict(p), max_corr=family.max_corr(p))
     report["gap"] = report["max_corr"] - report["corr"]
+    _check_seed(args)
     _emit(report, args.out)
     return 0
 

@@ -289,12 +289,28 @@ def _section(x, z, xi: float):
     """Section draw ``max(x**(1/(1-xi)), z**(1/xi))``: with ``z`` it follows ``C_{xi,1}``.
 
     The exponent limits are ``x`` at ``xi = 0`` and ``z`` at ``xi = 1``.
+    The bases are clamped below at ``t`` with ``t**a`` near ``2**-1000``, so
+    no power is subnormal (numpy computes those one at a time); entries
+    within twice the larger clamped power are then recomputed unclamped.
+    On bases in [0, 1] the result is the plain formula's bit for bit.
     """
     if xi <= 0.0:
         return x
     if xi >= 1.0:
         return z
-    return np.maximum(x ** (1.0 / (1.0 - xi)), z ** (1.0 / xi))
+    a, b = 1.0 / (1.0 - xi), 1.0 / xi
+    tx, tz = 2.0 ** (-1000.0 / a), 2.0 ** (-1000.0 / b)
+    # Taken from the clamped powers: at xi near 0, tz rounds to 1.
+    bound = 2.0 * max(tx ** a, tz ** b)
+    x, z = np.broadcast_arrays(x, z)
+    out = np.maximum(x, tx, out=np.empty(x.shape))
+    out **= a
+    w = np.maximum(z, tz)
+    w **= b
+    np.maximum(out, w, out=out)
+    low = np.flatnonzero(out <= bound)
+    out.flat[low] = np.maximum(x.flat[low] ** a, z.flat[low] ** b)
+    return out if out.ndim else out[()]
 
 
 def copula_pair_from_uniforms(x, y, z, phi: float, psi: float):

@@ -833,6 +833,21 @@ class TestParsing:
                                "--out", str(tmp_path / "x.csv"))
         assert code == 0, err
 
+    @pytest.mark.parametrize("argv,first", [
+        (["cdf-eval", "--family", "copula", "--phi", "0.3", "--psi", "0.4",
+          "--at", "2", "1"], "unit square"),
+        (["corr", "--phi", "0.3", "--psi", "0.7", "--k", "-1"], "k must be"),
+    ], ids=lambda v: v[0] if isinstance(v, list) else None)
+    def test_seed_checked_after_the_commands_own_checks(self, argv, first, capsys):
+        # cdf-eval and corr draw nothing, yet refuse a seed no stream takes.
+        for seed in ("-1", str(2 ** 64)):
+            code, out, err = run_cli(capsys, *argv, "--seed", seed)
+            assert code == 1 and first in err and not out
+            valid = [a if a not in ("2", "-1") else "0.5" for a in argv]
+            code, out, err = run_cli(capsys, *valid, "--seed", seed)
+            assert (code, out) == (1, "")
+            assert err == "error: seed must be in [0, 18446744073709551615]\n"
+
     def test_console_script_wired(self):
         proc = subprocess.run(
             [sys.executable, "-m", "mocorr.cli", "corr", "--family", "copula",

@@ -448,7 +448,7 @@ class TestGumbelEngine:
         values = np.asarray(h.evaluate(gev_quantile(g, np.clip(u, 1e-300, 1 - 1e-16)),
                                        gamma), dtype=float)
         var = float(np.var(values, ddof=1))
-        m4 = float(np.mean((values - values.mean()) ** 4))
+        m4 = float(extremes._fourth_power_sum(values, values.mean()) / values.size)
         se = math.sqrt(max(m4 - var * var, 0.0) / values.size)
         assert sigma2_db(h, g, 50_000, RngStream(99).child(1)) == (var, se)
 
@@ -585,6 +585,25 @@ class TestDoaScaling:
             doa_scaling("pareto", 10)
         with pytest.raises(ValidationError):
             doa_scaling("exp", 0)
+
+
+class TestParetoDraw:
+    @pytest.mark.parametrize("alpha", [0.01, 0.5, 2, 5, 1000])
+    def test_matches_the_generator_pareto(self, alpha):
+        ref_gen = RngStream(120).generator()
+        gen = RngStream(120).generator()
+        ref = ref_gen.pareto(alpha, 200_000) + 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = extremes._pareto_draw(gen, 200_000, alpha)
+        assert got.dtype == ref.dtype and np.array_equal(np.isinf(got), np.isinf(ref))
+        assert alpha != 0.01 or np.isinf(got).any()  # overflow is inf, with no warning
+        # Apart in ulps: the bit patterns of positive floats are ordered.
+        ulps = np.abs(got.view(np.int64) - ref.view(np.int64))
+        # In [2**53, 2**54] the + 1 is a rounding tie, which can double one
+        # ulp of expm1 into two.
+        assert np.all(ulps <= np.where((ref >= 2.0 ** 53) & (ref <= 2.0 ** 54), 2, 1))
+        assert gen.random() == ref_gen.random()
 
 
 class TestSlidingMax:

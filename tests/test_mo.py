@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import sampler_z
+from mocorr import mo
 from mocorr.errors import EvaluationError, ValidationError
 from mocorr.extremes import GEVShape, ZetaOverlap
 from mocorr.families import FAMILY_TABLE
@@ -316,6 +317,29 @@ class TestSamplers:
         with pytest.raises(ValidationError):
             PairSample(pairs=np.array([[-0.5, 1.5]]), family="mo",
                        params={}, seed=RngStream(1))
+
+
+class TestSectionMap:
+    EDGES = np.array([0.0, 5e-324, 1e-300, 2.0 ** -53, 0.5, 1.0])
+
+    @pytest.mark.parametrize("xi", [1e-300, 1e-6, 0.5, 0.948, 0.95, 0.999, 0.999999,
+                                    1.0 - 1e-12])
+    def test_equals_the_plain_formula(self, xi):
+        # Each edge against each edge, then uniform draws with the edges mixed in.
+        x, z = (a.ravel() for a in np.meshgrid(self.EDGES, self.EDGES))
+        draws = draw_uniforms(RngStream(60), 20_000, 2)
+        draws[::1000] = np.resize(self.EDGES, (20, 2))
+        for x, z in ((x, z), (z, x), draws.T):
+            plain = np.maximum(x ** (1.0 / (1.0 - xi)), z ** (1.0 / xi))
+            assert mo._section(x, z, xi).tobytes() == plain.tobytes()
+        plain = np.maximum(0.3 ** (1.0 / (1.0 - xi)), 5e-324 ** (1.0 / xi))
+        assert mo._section(np.float64(0.3), np.float64(5e-324), xi) == plain
+
+    def test_comonotone_edge_draws_no_subnormal_power(self):
+        # A subnormal power raises here; numpy computes those one at a time.
+        with np.errstate(under="raise"):
+            sample_copula(CopulaParams(0.999, 0.999), 100_000, RngStream(9001))
+            sample_d_xi(DXiParam(0.999), 100_000, RngStream(9001))
 
 
 class TestMaxStability:

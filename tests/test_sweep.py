@@ -180,8 +180,8 @@ def test_int_flags_at_their_bounds(flag, tmp_path):
     failures = []
     for template in TEMPLATES.values():
         argv = [str(tmp_path / "s.csv") if a == "OUT" else a for a in template]
-        # Every subcommand takes --seed; cdf-eval and corr draw nothing and never read it.
-        if flag not in argv and (flag != "--seed" or argv[0] in ("cdf-eval", "corr")):
+        # Every subcommand takes --seed, cdf-eval and corr too though they draw nothing.
+        if flag not in argv and flag != "--seed":
             continue
         edges = INT_EDGES[flag]
         if flag == "-n" and argv[0] == "maxcorr":
